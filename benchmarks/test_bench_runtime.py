@@ -140,7 +140,14 @@ def test_pipeline_session_cold_vs_warm(benchmark):
             return [session.compile(code) for code in edits]
 
         benchmark.pedantic(warm, rounds=3, iterations=1)
+        before = dict(cache.stats.seconds)
         warm_results, warm_time = _timed(warm)
+        # Stage seconds of the timed warm round alone (the cache's own
+        # counters are cumulative over the fill and the pedantic rounds).
+        warm_stage_seconds = {
+            name: round(secs - before.get(name, 0.0), 4)
+            for name, secs in sorted(cache.stats.seconds.items())
+        }
 
     for warm_result, cold_result in zip(warm_results, cold_results):
         assert result_fingerprint(warm_result) == result_fingerprint(cold_result)
@@ -152,12 +159,12 @@ def test_pipeline_session_cold_vs_warm(benchmark):
     benchmark.extra_info["cold_seconds"] = round(cold, 4)
     benchmark.extra_info["warm_seconds"] = round(warm_time, 4)
     benchmark.extra_info["speedup"] = round(speedup, 2)
-    benchmark.extra_info["stage_seconds"] = stats["stage_seconds"]
+    benchmark.extra_info["warm_stage_seconds"] = warm_stage_seconds
     benchmark.extra_info["tokens_reused"] = stats["tokens_reused"]
     benchmark.extra_info["segments_reused"] = stats["segments_reused"]
     benchmark.extra_info["stage_hit_rate"] = stats["hit_rate"]
     breakdown = ", ".join(
-        f"{name}={secs:.3f}s" for name, secs in stats["stage_seconds"].items()
+        f"{name}={secs:.4f}s" for name, secs in warm_stage_seconds.items()
     )
     report(
         "Runtime: pipeline session cold vs warm (agent edit sequence)",
@@ -166,7 +173,7 @@ def test_pipeline_session_cold_vs_warm(benchmark):
              "segments reused", "tokens reused"],
             [[len(edits), f"{cold:.3f}", f"{warm_time:.4f}", f"{speedup:.1f}x",
               stats["segments_reused"], stats["tokens_reused"]]],
-        ) + f"\nper-stage (warm): {breakdown}",
+        ) + f"\nper-stage (timed warm round): {breakdown}",
     )
     # The tentpole acceptance floor: incremental recompilation must at
     # least halve the agent's compile wall-clock.

@@ -4,7 +4,10 @@
 # failover, strong trips the breaker, whole-ladder propagates), a
 # 200-iteration compiler front-end fuzz smoke, the pipeline
 # differential (warm CompileSession vs cold compile_source over the full
-# 212-sample dataset, both flavours, bit-identical), the simulator
+# 212-sample dataset, both flavours, bit-identical), the dataset
+# differential (full 212-entry curation for seeds 0-2 with the compile
+# cache on and off, digest-identical and equal to the golden digests),
+# the simulator
 # differential (compiled engine vs interpreter over every corpus
 # reference, verdicts and traces bit-identical), the sandbox gate (the
 # hostile-testbench corpus under both engines: every runaway/oscillator/
@@ -18,7 +21,7 @@
 # shows every break.
 #
 # Usage:
-#   scripts/ci.sh                # all ten stages
+#   scripts/ci.sh                # all eleven stages
 #   FUZZ_ITERATIONS=1000 scripts/ci.sh   # deeper fuzz stage
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -41,6 +44,9 @@ python -m repro.cli fuzz --seed 0 --iterations "$iterations" || status=1
 
 echo "== pipeline differential (warm session vs cold compile, full dataset) =="
 python scripts/pipeline_diff.py || status=1
+
+echo "== dataset differential (compile cache on vs off, seeds 0-2) =="
+python scripts/dataset_diff.py || status=1
 
 echo "== simulator differential (compiled engine vs interp, full corpus) =="
 python scripts/sim_diff.py || status=1

@@ -21,8 +21,11 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..diagnostics import ErrorCategory, compile_source
+# Curation compiles go through the content-addressed cache; the
+# ``compile_source`` binding stays for callers that patch it here.
+from ..diagnostics import ErrorCategory, compile_source  # noqa: F401
 from ..errors import DatasetError
+from ..runtime.cache import cached_compile
 
 Transform = Callable[[str, random.Random], Optional[str]]
 
@@ -261,7 +264,7 @@ _TRANSFORM_NAMES: dict[Transform, str] = {
 def verify_injection(code: str) -> tuple[ErrorCategory, ...]:
     """Compile the injected code and return the observed categories;
     empty tuple means the injection failed to break the code."""
-    result = compile_source(code)
+    result = cached_compile(code)
     if result.ok:
         return ()
     return tuple(result.categories)

@@ -160,6 +160,73 @@ def const_eval(expr: ast.Expr, env: dict[str, int] | None = None) -> Optional[in
 
 
 # ---------------------------------------------------------------------------
+# Unrolled-index check: per-nest state and visit plan
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _UnrollCheck:
+    """State of one top-level ``for`` nest's unrolled-index check.
+
+    ``budget`` caps the iterations of the whole nest; ``reported`` holds
+    the ids of selects already flagged, each reported at most once;
+    ``pending`` counts the nest's selects not yet in ``reported``.  At
+    zero, further iterations cannot emit a diagnostic, so unrolling
+    stops there instead of spending the rest of the budget."""
+
+    budget: int
+    pending: int
+    reported: set[int] = field(default_factory=set)
+
+    def report(self, select: ast.Select) -> None:
+        """Record that ``select`` has been flagged."""
+        self.reported.add(id(select))
+        self.pending -= 1
+
+
+def _unroll_plan(stmt: Optional[ast.Stmt]) -> list:
+    """The selects an unrolled-index check of ``stmt`` visits, in visit
+    order; a nested ``for`` appears as ``(loop, plan of its body)``.
+
+    The check walks this plan on every iteration and the early exit
+    counts its selects, so both see exactly the same nodes."""
+    if isinstance(stmt, ast.For):
+        return [(stmt, _unroll_plan(stmt.body))]
+    children: list[Optional[ast.Stmt]] = []
+    exprs: list[ast.Expr] = []
+    if isinstance(stmt, ast.Block):
+        children = list(stmt.stmts)
+    elif isinstance(stmt, ast.If):
+        exprs = [stmt.cond]
+        children = [stmt.then, stmt.other]
+    elif isinstance(stmt, ast.Case):
+        children = [item.body for item in stmt.items]
+    elif isinstance(stmt, (ast.While, ast.Repeat)):
+        children = [stmt.body]
+    elif isinstance(stmt, ast.ProcAssign):
+        exprs = [stmt.lvalue, stmt.rhs]
+    plan: list = [
+        expr for root in exprs for expr in ast.walk_exprs(root)
+        if isinstance(expr, ast.Select)
+    ]
+    for child in children:
+        if child is not None:
+            plan.extend(_unroll_plan(child))
+    return plan
+
+
+def _plan_selects(plan: list) -> set[int]:
+    """Ids of every select in ``plan``, nested loops included."""
+    ids: set[int] = set()
+    for step in plan:
+        if isinstance(step, ast.Select):
+            ids.add(id(step))
+        else:
+            ids |= _plan_selects(step[1])
+    return ids
+
+
+# ---------------------------------------------------------------------------
 # Elaborator
 # ---------------------------------------------------------------------------
 
@@ -507,12 +574,13 @@ class Elaborator:
         """Quartus-style synthesis check: unroll static loops (including
         nested ones, with composed environments) and verify every index
         expression that becomes constant (Fig. 6 case)."""
-        budget = [_MAX_UNROLL]
-        self._unroll_and_check(stmt, scope, dict(elab.params), set(), budget)
+        plan = _unroll_plan(stmt.body)
+        check = _UnrollCheck(budget=_MAX_UNROLL, pending=len(_plan_selects(plan)))
+        self._unroll_and_check(stmt, plan, scope, dict(elab.params), check)
 
     def _unroll_and_check(
-        self, stmt: ast.For, scope: Scope,
-        env: dict[str, int], reported: set[int], budget: list[int],
+        self, stmt: ast.For, plan: list, scope: Scope,
+        env: dict[str, int], check: _UnrollCheck,
     ) -> None:
         if stmt.init is None or stmt.cond is None or stmt.step is None:
             return
@@ -522,47 +590,31 @@ class Elaborator:
         value = const_eval(stmt.init.rhs, env)
         if value is None:
             return
-        while budget[0] > 0:
-            budget[0] -= 1
+        while check.pending and check.budget > 0:
+            check.budget -= 1
             inner_env = dict(env)
             inner_env[var] = value
             cond = const_eval(stmt.cond, inner_env)
             if cond is None or not cond:
                 return
-            self._check_indices_in_env(stmt.body, scope, inner_env, reported, budget)
+            self._check_indices_in_env(plan, scope, inner_env, check)
             nxt = const_eval(stmt.step.rhs, inner_env)
             if nxt is None or nxt == value:
                 return
             value = nxt
 
     def _check_indices_in_env(
-        self, stmt: ast.Stmt, scope: Scope,
-        env: dict[str, int], reported: set[int], budget: list[int],
+        self, plan: list, scope: Scope, env: dict[str, int], check: _UnrollCheck,
     ) -> None:
-        if isinstance(stmt, ast.For):
-            self._unroll_and_check(stmt, scope, env, reported, budget)
-            return
-        children: list[ast.Stmt] = []
-        exprs: list[ast.Expr] = []
-        if isinstance(stmt, ast.Block):
-            children = list(stmt.stmts)
-        elif isinstance(stmt, ast.If):
-            exprs = [stmt.cond]
-            children = [stmt.then] + ([stmt.other] if stmt.other else [])
-        elif isinstance(stmt, ast.Case):
-            children = [item.body for item in stmt.items]
-        elif isinstance(stmt, (ast.While, ast.Repeat)):
-            children = [stmt.body]
-        elif isinstance(stmt, ast.ProcAssign):
-            exprs = [stmt.lvalue, stmt.rhs]
-        for root in exprs:
-            for expr in ast.walk_exprs(root):
-                if isinstance(expr, ast.Select) and id(expr) not in reported:
-                    if self._select_out_of_range(expr, scope, env):
-                        reported.add(id(expr))
-        for child in children:
-            if child is not None:
-                self._check_indices_in_env(child, scope, env, reported, budget)
+        for step in plan:
+            if isinstance(step, ast.Select):
+                if id(step) not in check.reported and self._select_out_of_range(
+                    step, scope, env
+                ):
+                    check.report(step)
+            else:
+                loop, body = step
+                self._unroll_and_check(loop, body, scope, env, check)
 
     def _select_out_of_range(
         self, expr: ast.Select, scope: Scope, env: dict[str, int]

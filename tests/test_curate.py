@@ -1,5 +1,10 @@
 """Tests for the §3.4 dataset curation pipeline."""
 
+import hashlib
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.dataset import (
@@ -10,6 +15,10 @@ from repro.dataset import (
     verilogeval,
 )
 from repro.diagnostics import compile_source
+from repro.diagnostics import compiler as compiler_mod
+from repro.runtime import use_compile_cache
+
+GOLDEN_DIGESTS = Path(__file__).parent / "data" / "dataset_digests.json"
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +94,31 @@ class TestPersistence:
             code="module m; endmodule", categories=("missing-semicolon",),
         )
         assert entry.error_categories()[0].value == "missing-semicolon"
+
+
+class TestGoldenDigest:
+    def test_paper_dataset_matches_golden_digest(self):
+        golden = json.loads(GOLDEN_DIGESTS.read_text())["digests"]
+        with use_compile_cache():
+            dataset = build_syntax_dataset(verilogeval(), seed=0)
+        digest = hashlib.sha256(dataset.to_json().encode("utf-8")).hexdigest()
+        assert digest == golden["0"]
+
+
+class TestCompileRouting:
+    def test_every_curation_compile_goes_through_the_cache(self, monkeypatch):
+        # Count calls at every binding of compile_source in the package,
+        # so a direct (uncached) call from any module shows up here.
+        original = compiler_mod.compile_source
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "compile_source", None) is original:
+                monkeypatch.setattr(module, "compile_source", counting)
+        with use_compile_cache() as cache:
+            build_syntax_dataset(verilogeval(), samples_per_problem=1, seed=0)
+        assert 0 < calls[0] <= cache.stats.misses

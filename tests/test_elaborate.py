@@ -1,6 +1,14 @@
 """Unit tests for semantic elaboration and its checks."""
 
+import importlib
+
+import pytest
+
 from repro.diagnostics import ErrorCategory, compile_source
+from repro.verilog import ast
+from repro.verilog.elaborate import _MAX_UNROLL, Elaborator, const_eval
+
+elaborate_mod = importlib.import_module("repro.verilog.elaborate")
 
 
 def cats(code: str) -> list[ErrorCategory]:
@@ -245,3 +253,258 @@ class TestConstEval:
 
         design = parse(SourceFile("t.v", "module m; localparam X = y + 1; endmodule"))
         assert const_eval(design.top_module().items[0].value) is None
+
+
+# ---------------------------------------------------------------------------
+# Unrolled-index check: early exit vs the full-budget reference
+# ---------------------------------------------------------------------------
+
+
+class _FullBudgetElaborator(Elaborator):
+    """Reference copy of the unrolled-index check without the early
+    exit: every top-level ``for`` nest runs until its condition fails,
+    its step stalls or the shared ``_MAX_UNROLL`` budget runs out,
+    re-walking the body's expressions on every iteration."""
+
+    def _check_unrolled_indices(self, elab, stmt, scope):
+        budget = [_MAX_UNROLL]
+        self._reference_unroll(stmt, scope, dict(elab.params), set(), budget)
+
+    def _reference_unroll(self, stmt, scope, env, reported, budget):
+        if stmt.init is None or stmt.cond is None or stmt.step is None:
+            return
+        if not isinstance(stmt.init.lvalue, ast.Identifier):
+            return
+        var = stmt.init.lvalue.name
+        value = const_eval(stmt.init.rhs, env)
+        if value is None:
+            return
+        while budget[0] > 0:
+            budget[0] -= 1
+            inner_env = dict(env)
+            inner_env[var] = value
+            cond = const_eval(stmt.cond, inner_env)
+            if cond is None or not cond:
+                return
+            self._reference_check(stmt.body, scope, inner_env, reported, budget)
+            nxt = const_eval(stmt.step.rhs, inner_env)
+            if nxt is None or nxt == value:
+                return
+            value = nxt
+
+    def _reference_check(self, stmt, scope, env, reported, budget):
+        if isinstance(stmt, ast.For):
+            self._reference_unroll(stmt, scope, env, reported, budget)
+            return
+        children = []
+        exprs = []
+        if isinstance(stmt, ast.Block):
+            children = list(stmt.stmts)
+        elif isinstance(stmt, ast.If):
+            exprs = [stmt.cond]
+            children = [stmt.then] + ([stmt.other] if stmt.other else [])
+        elif isinstance(stmt, ast.Case):
+            children = [item.body for item in stmt.items]
+        elif isinstance(stmt, (ast.While, ast.Repeat)):
+            children = [stmt.body]
+        elif isinstance(stmt, ast.ProcAssign):
+            exprs = [stmt.lvalue, stmt.rhs]
+        for root in exprs:
+            for expr in ast.walk_exprs(root):
+                if isinstance(expr, ast.Select) and id(expr) not in reported:
+                    if self._select_out_of_range(expr, scope, env):
+                        reported.add(id(expr))
+        for child in children:
+            if child is not None:
+                self._reference_check(child, scope, env, reported, budget)
+
+
+def _elab_diagnostics(code: str, elaborator_cls) -> list:
+    """(category, severity, span, args) of every diagnostic elaboration
+    of ``code`` emits, in emission order, from a freshly parsed design."""
+    design = compile_source(code).design
+    sink: list = []
+    if design is not None and design.modules:
+        elaborator_cls(design, sink).elaborate()
+    return [(d.category, d.severity, d.span, d.args) for d in sink]
+
+
+RUNAWAY_PRIORITY = (
+    "module m(input [7:0] in, output reg [3:0] pos);\n"
+    "integer i;\n"
+    "always @(*) begin\n"
+    "  pos = 0;\n"
+    "  for (i = 7; i >= 0; i = i + 1)\n"
+    "    if (in[i]) pos = i;\n"
+    "end\nendmodule"
+)
+
+RUNAWAY_IN_RANGE = (
+    "module m(input [7:0] a, input [7:0] b, output reg [7:0] y);\n"
+    "integer i;\n"
+    "always @(*) for (i = 0; i < 8; i = i - 1) y = a[0] ^ b[i];\n"
+    "endmodule"
+)
+
+UNROLL_SHAPES = {
+    "runaway_up_from_msb": RUNAWAY_PRIORITY,
+    "runaway_down_below_bound": (
+        "module m(input [7:0] a, output reg [7:0] y);\n"
+        "integer i;\n"
+        "always @(*) for (i = 0; i < 8; i = i - 1) y[i] = a[i];\n"
+        "endmodule"
+    ),
+    "runaway_gray_code": (
+        "module m(input [7:0] gray, output reg [7:0] bin);\n"
+        "integer i;\n"
+        "always @(*) begin\n"
+        "  bin[7] = gray[7];\n"
+        "  for (i = 6; i >= 0; i = i + 1) bin[i] = bin[i + 1] ^ gray[i];\n"
+        "end\nendmodule"
+    ),
+    "runaway_gray_code_down": (
+        "module m(input [7:0] gray, output reg [7:0] bin);\n"
+        "integer i;\n"
+        "always @(*) begin\n"
+        "  bin[7] = gray[7];\n"
+        "  for (i = 6; i < 8; i = i - 1) bin[i] = bin[i + 1] ^ gray[i];\n"
+        "end\nendmodule"
+    ),
+    "fig6_nested": (
+        "module m(input [255:0] q, output reg [255:0] next);\n"
+        "integer i, j;\n"
+        "always @(*) begin\n"
+        "  for (i = 0; i < 16; i = i + 1)\n"
+        "    for (j = 0; j < 16; j = j + 1)\n"
+        "      next[i*16 + j] = q[(i-1)*16 + (j-1)];\n"
+        "end\nendmodule"
+    ),
+    "nested_exhausts_shared_budget": (
+        "module m(input [99:0] a, input [0:0] b, output reg [99:0] y);\n"
+        "integer i, j;\n"
+        "always @(*)\n"
+        "  for (i = 0; i < 100; i = i + 1)\n"
+        "    for (j = 0; j < 100; j = j + 1)\n"
+        "      y[i] = a[j] ^ b[i / 50];\n"
+        "endmodule"
+    ),
+    "out_of_range_only_past_budget": (
+        "module m(input [0:0] a, output reg y);\n"
+        "integer i;\n"
+        "always @(*) for (i = 0; i < 5000; i = i + 1) y = a[i / 4100];\n"
+        "endmodule"
+    ),
+    "select_in_if_condition": (
+        "module m(input [7:0] a, output reg [3:0] y);\n"
+        "integer i;\n"
+        "always @(*) for (i = 0; i < 8; i = i + 1) if (a[i + 1]) y = i;\n"
+        "endmodule"
+    ),
+    "runaway_holding_in_range_select": RUNAWAY_IN_RANGE,
+    "runaway_without_selects": (
+        "module m(output reg [7:0] y);\n"
+        "integer i;\n"
+        "always @(*) for (i = 0; i < 8; i = i - 1) y = i;\n"
+        "endmodule"
+    ),
+    "case_while_and_memory_in_body": (
+        "module m(input [1:0] s, output reg [7:0] y);\n"
+        "reg [7:0] mem [0:3];\n"
+        "integer i, k;\n"
+        "always @(*) begin\n"
+        "  for (i = 0; i < 6; i = i + 1) begin\n"
+        "    case (s)\n"
+        "      2'd0: y = mem[i];\n"
+        "      default: y[i + 3] = 1'b0;\n"
+        "    endcase\n"
+        "    k = 0;\n"
+        "    while (k < 2) begin y[k] = mem[i - 2][0]; k = k + 1; end\n"
+        "  end\n"
+        "end\nendmodule"
+    ),
+    "loop_nested_under_if": (
+        "module m(input en, input [3:0] a, output reg [3:0] y);\n"
+        "integer i, j;\n"
+        "always @(*)\n"
+        "  for (i = 0; i < 3; i = i + 1)\n"
+        "    if (en) for (j = i; j < 6; j = j + 1) y[j - i] = a[j];\n"
+        "endmodule"
+    ),
+}
+
+
+def _corpus_sources() -> list[str]:
+    """Every corpus reference plus its logic mutants (each mutation
+    under a few rng seeds, so different sites get hit)."""
+    import random
+
+    from repro.dataset import verilogeval
+    from repro.dataset.mutate import MUTATIONS, force_behavior_change
+
+    sources: dict[str, None] = {}
+    for problem in verilogeval():
+        sources[problem.reference] = None
+        forced = force_behavior_change(problem.reference)
+        if forced is not None:
+            sources[forced] = None
+        for mutation in MUTATIONS:
+            for seed in range(3):
+                mutant = mutation(problem.reference, random.Random(seed))
+                if mutant is not None:
+                    sources[mutant] = None
+    return list(sources)
+
+
+class TestUnrollEarlyExit:
+    @pytest.mark.parametrize("shape", sorted(UNROLL_SHAPES))
+    def test_shape_matches_full_budget_reference(self, shape):
+        code = UNROLL_SHAPES[shape]
+        expected = _elab_diagnostics(code, _FullBudgetElaborator)
+        assert _elab_diagnostics(code, Elaborator) == expected
+
+    def test_shapes_report_what_they_should(self):
+        # Guard the differential against vacuous inputs: the runaway
+        # shapes do report, the budget-bound ones do not.
+        def indices(shape):
+            return [
+                args["index"]
+                for cat, _, _, args in _elab_diagnostics(UNROLL_SHAPES[shape], Elaborator)
+                if cat is ErrorCategory.INDEX_RANGE
+            ]
+
+        assert indices("runaway_up_from_msb") == [8]
+        assert indices("runaway_gray_code") == [8, 8, 8]
+        assert indices("runaway_holding_in_range_select") == [-1]
+        assert indices("nested_exhausts_shared_budget") == []
+        assert indices("out_of_range_only_past_budget") == []
+
+    def test_corpus_and_mutants_match_full_budget_reference(self):
+        sources = _corpus_sources()
+        assert len(sources) > 300
+        for code in sources:
+            expected = _elab_diagnostics(code, _FullBudgetElaborator)
+            assert _elab_diagnostics(code, Elaborator) == expected, code
+
+
+def _const_eval_calls(monkeypatch, code: str) -> int:
+    """How many ``const_eval`` calls elaborating ``code`` makes."""
+    calls = [0]
+
+    def counting(expr, env=None):
+        calls[0] += 1
+        return const_eval(expr, env)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(elaborate_mod, "const_eval", counting)
+        compile_source(code)
+    return calls[0]
+
+
+class TestUnrollWorkCounts:
+    def test_runaway_loop_stops_once_every_select_is_reported(self, monkeypatch):
+        # i = 7 is in range, i = 8 reports in[8]; nothing is left to find.
+        assert _const_eval_calls(monkeypatch, RUNAWAY_PRIORITY) < 60
+
+    def test_runaway_loop_with_in_range_select_spends_the_budget(self, monkeypatch):
+        # a[0] is never reported, so every iteration stays observable.
+        assert _const_eval_calls(monkeypatch, RUNAWAY_IN_RANGE) > 3 * _MAX_UNROLL
