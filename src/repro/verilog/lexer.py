@@ -1,4 +1,9 @@
-"""Hand-written lexer for the supported Verilog subset.
+"""Lexer for the supported Verilog subset.
+
+One compiled master regex lexes the common tokens (identifiers,
+keywords, numbers, operators) together with the trivia before them in a
+single match; the rare, diagnostic-bearing forms fall back to
+hand-written code.
 
 The lexer is error-tolerant: malformed constructs produce a
 :class:`~repro.diagnostics.diagnostic.Diagnostic` in the supplied sink
@@ -8,6 +13,8 @@ compilers report several errors per run.
 """
 
 from __future__ import annotations
+
+import re
 
 from ..diagnostics.codes import ErrorCategory
 from ..diagnostics.diagnostic import Diagnostic
@@ -21,9 +28,34 @@ _BASE_DIGITS = {
     "h": "0123456789abcdef" + "xz?",
 }
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789$")
+_IDENT_CONT = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789$")
 _DIGITS = set("0123456789")
+
+#: One match per token: skip the trivia (whitespace, ``//`` comments,
+#: block comments terminated or not), then capture a hot token kind in a
+#: named group.  Every class is spelled out in ASCII (``\w``/``\s``/``\d``
+#: would admit Unicode letters, ``\f``/``\v`` and fullwidth digits, all of
+#: which are invalid characters here), and the digit runs are possessive
+#: so ``04'b1`` cannot backtrack into a plain ``0``.  When no group
+#: matches, the token is a rare form (based literal, string, ``$``, ``\``,
+#: invalid character) or EOF, and the hand-written fallback lexes it.
+_MASTER = re.compile(
+    r"(?:[ \t\r\n]++|//[^\n]*+|/\*(?s:.*?\*/|.*))*+"
+    r"(?:(?P<ident>[A-Za-z_][A-Za-z0-9_$]*+)"
+    r"|(?P<real>[0-9][0-9_]*+\.[0-9][0-9_]*+)"
+    r"|(?P<number>[0-9][0-9_]*+(?!'|\.[0-9]))"
+    r"|(?P<punct>"
+    + "|".join(re.escape(op) for op in MULTI_PUNCT)
+    + "|["
+    + re.escape("".join(sorted(SINGLE_PUNCT)))
+    + "]))?"
+)
+
+_GROUP_KIND = {
+    "real": TokenKind.REAL,
+    "number": TokenKind.NUMBER,
+    "punct": TokenKind.PUNCT,
+}
 
 
 class Lexer:
@@ -52,20 +84,58 @@ class Lexer:
         self.tracker = tracker
 
     def tokenize(self) -> list[Token]:
-        tokens: list[Token] = []
-        while True:
-            if self.tracker is not None and not self.tracker.charge("tokens"):
-                self.tracker.report_overflow(
-                    "tokens", self._span(self.pos, self.pos + 1), self.sink
-                )
-                tokens.append(Token(TokenKind.EOF, "", self._span(self.pos)))
-                return tokens
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
+        """Lex to EOF (or to the token budget), charging the budget once.
 
-    # -- internals ---------------------------------------------------
+        Each token costs one budget unit, EOF included.  The budget left
+        is read up front and the tokens are counted locally; the single
+        ``charge`` at the end leaves ``tracker.spent`` exactly where one
+        charge per token would have, over-budget attempt included.
+        """
+        source, text, tracker = self.source, self.text, self.tracker
+        size = len(text)
+        match = _MASTER.match
+        keywords = KEYWORDS
+        ident, keyword = TokenKind.IDENT, TokenKind.KEYWORD
+        tokens: list[Token] = []
+        append = tokens.append
+        # Unbudgeted, ``left`` exceeds any token count: every token but
+        # EOF consumes at least one character.
+        left = size + 2
+        if tracker is not None:
+            left = tracker.limits.limit_for("tokens") - tracker.spent.get("tokens", 0)
+        count = 0
+        pos = self.pos
+        while True:
+            count += 1
+            if count > left:
+                tracker.report_overflow("tokens", Span(source, pos, pos + 1), self.sink)
+                append(Token(TokenKind.EOF, "", Span(source, pos, pos)))
+                break
+            m = match(text, pos)
+            group = m.lastgroup
+            if group is None:
+                # An escaped trailing backslash in an unterminated string
+                # leaves ``pos`` one past the end, where the match clamps.
+                self.pos = m.end() if pos <= size else pos
+                token = self._lex_rare()
+                pos = self.pos
+                append(token)
+                if token.kind is TokenKind.EOF:
+                    break
+                continue
+            start, pos = m.span(group)
+            value = text[start:pos]
+            if group == "ident":
+                kind = keyword if value in keywords else ident
+            else:
+                kind = _GROUP_KIND[group]
+            append(Token(kind, value, Span(source, start, pos)))
+        if tracker is not None:
+            tracker.charge("tokens", count)
+        self.pos = pos
+        return tokens
+
+    # -- rare forms ----------------------------------------------------
 
     def _span(self, start: int, end: int | None = None) -> Span:
         return Span(self.source, start, self.pos if end is None else end)
@@ -74,47 +144,30 @@ class Lexer:
         idx = self.pos + offset
         return self.text[idx] if idx < len(self.text) else ""
 
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif ch == "/" and self._peek(1) == "/":
-                nl = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if nl == -1 else nl
-            elif ch == "/" and self._peek(1) == "*":
-                close = self.text.find("*/", self.pos + 2)
-                self.pos = len(self.text) if close == -1 else close + 2
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
+    def _lex_rare(self) -> Token:
+        """Lex the token at ``self.pos`` that the master regex left alone."""
         start = self.pos
-        if self.pos >= len(self.text):
+        if start >= len(self.text):
             return Token(TokenKind.EOF, "", self._span(start))
-        ch = self.text[self.pos]
-
-        if ch in _IDENT_START:
-            return self._lex_ident(start)
-        if ch in _DIGITS:
-            return self._lex_number(start)
+        ch = self.text[start]
+        if ch in _DIGITS:  # a size prefix: ``4'b...``
+            while self._peek() in _DIGITS or self._peek() == "_":
+                self.pos += 1
+            return self._lex_based_literal(start)
         if ch == "'":
-            return self._lex_based_literal(start, size_digits="")
+            return self._lex_based_literal(start)
         if ch == '"':
             return self._lex_string(start)
         if ch == "$":
             return self._lex_system_ident(start)
         if ch == "\\":
             return self._lex_escaped_ident(start)
-        return self._lex_punct(start)
-
-    def _lex_ident(self, start: int) -> Token:
-        while self._peek() in _IDENT_CONT:
-            self.pos += 1
-        value = self.text[start : self.pos]
-        kind = TokenKind.KEYWORD if value in KEYWORDS else TokenKind.IDENT
-        return Token(kind, value, self._span(start))
+        self.pos += 1
+        self.sink.append(
+            Diagnostic(ErrorCategory.SYNTAX_NEAR, self._span(start), {"near": ch})
+        )
+        # Substitute a harmless token so parsing continues.
+        return Token(TokenKind.PUNCT, ";", self._span(start))
 
     def _lex_escaped_ident(self, start: int) -> Token:
         self.pos += 1  # backslash
@@ -157,23 +210,9 @@ class Lexer:
             )
         return Token(TokenKind.STRING, self.text[start : self.pos], self._span(start))
 
-    def _lex_number(self, start: int) -> Token:
-        while self._peek() in _DIGITS or self._peek() == "_":
-            self.pos += 1
-        if self._peek() == "'":
-            return self._lex_based_literal(start, size_digits=self.text[start : self.pos])
-        if self._peek() == "." and self._peek(1) in _DIGITS:
-            self.pos += 1
-            while self._peek() in _DIGITS or self._peek() == "_":
-                self.pos += 1
-            return Token(TokenKind.REAL, self.text[start : self.pos], self._span(start))
-        return Token(TokenKind.NUMBER, self.text[start : self.pos], self._span(start))
-
-    def _lex_based_literal(self, start: int, size_digits: str) -> Token:
+    def _lex_based_literal(self, start: int) -> Token:
         self.pos += 1  # the apostrophe
-        signed = False
-        if self._peek() in ("s", "S"):
-            signed = True
+        if self._peek() in ("s", "S"):  # recorded in the literal text
             self.pos += 1
         base_ch = self._peek().lower()
         if base_ch not in _BASE_DIGITS:
@@ -199,23 +238,7 @@ class Lexer:
                 )
             )
             return Token(TokenKind.NUMBER, "0", self._span(start))
-        del signed  # recorded in the literal text; value parsing happens later
         return Token(TokenKind.NUMBER, literal, self._span(start))
-
-    def _lex_punct(self, start: int) -> Token:
-        for op in MULTI_PUNCT:
-            if self.text.startswith(op, self.pos):
-                self.pos += len(op)
-                return Token(TokenKind.PUNCT, op, self._span(start))
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch not in SINGLE_PUNCT:
-            self.sink.append(
-                Diagnostic(ErrorCategory.SYNTAX_NEAR, self._span(start), {"near": ch})
-            )
-            # Substitute a harmless token so parsing continues.
-            return Token(TokenKind.PUNCT, ";", self._span(start))
-        return Token(TokenKind.PUNCT, ch, self._span(start))
 
 
 def tokenize(

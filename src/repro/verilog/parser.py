@@ -68,6 +68,8 @@ class Parser:
         #: caller did not supply one.
         self.tracker = tracker if tracker is not None else LimitTracker()
         self._depth = 0
+        #: Read once: ``_enter`` runs at every nesting step of the parse.
+        self._max_depth = self.tracker.limits.limit_for("parse nesting depth")
 
     # -- recursion guard ----------------------------------------------
 
@@ -81,7 +83,7 @@ class Parser:
         keeping well clear of Python's own recursion limit.
         """
         self._depth += 1
-        if not self.tracker.within("parse nesting depth", self._depth):
+        if self._depth > self._max_depth:
             self.tracker.report_overflow(
                 "parse nesting depth", self.cur.span, self.sink
             )

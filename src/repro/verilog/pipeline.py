@@ -84,10 +84,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_STAGE_MAXSIZE = 4096
 
 #: How many characters past a token's end the lexer may have peeked
-#: while producing it (longest multi-char operator probe is 4 chars from
-#: the token start, number lookahead is 2 past the end).  A reused token
-#: must end at least this far inside the old/new common prefix so its
-#: bytes *and* every byte the lexer examined are identical.
+#: while producing it.  The master regex peeks at most 2: a plain
+#: number's ``(?!'|\.[0-9])`` guard, and the failed ``<->`` probe behind a
+#: lone ``<``; identifiers, the other operators and the hand-written
+#: fallback forms peek 1.  A reused token must end at least this far
+#: inside the old/new common prefix so its bytes *and* every byte the
+#: lexer examined are identical; 4 leaves headroom for new operators.
 _LEX_LOOKAHEAD = 4
 
 

@@ -26,9 +26,11 @@ class SourceFile:
 
     def __post_init__(self) -> None:
         starts = [0]
-        for i, ch in enumerate(self.text):
-            if ch == "\n":
-                starts.append(i + 1)
+        find = self.text.find
+        nl = find("\n")
+        while nl != -1:
+            starts.append(nl + 1)
+            nl = find("\n", nl + 1)
         object.__setattr__(self, "_line_starts", tuple(starts))
 
     @property

@@ -1,8 +1,21 @@
 """Unit tests for the Verilog lexer."""
 
+import random
+from pathlib import Path
+
+import pytest
+
+from repro.dataset import build_syntax_dataset, rtllm, verilogeval
 from repro.diagnostics import ErrorCategory
 from repro.verilog import SourceFile, tokenize
+from repro.verilog.lexer import Lexer
+from repro.verilog.limits import LimitTracker, ResourceLimits
 from repro.verilog.tokens import TokenKind
+
+from .reference_lexer import ReferenceLexer
+
+CRASH_CORPUS = Path(__file__).parent / "data" / "crash_corpus"
+REFERENCES = [p.reference for p in list(verilogeval()) + list(rtllm())]
 
 
 def lex(code: str):
@@ -159,3 +172,181 @@ class TestSpans:
         assert src.line_col(3) == (2, 1)
         assert src.line_col(7) == (3, 2)
         assert src.line_text(2) == "cd"
+
+
+# -- differential against the pre-regex lexer ------------------------------
+
+#: Verilog-heavy chunks for random inputs, including every trap the master
+#: regex must not fall into: non-trivia whitespace (form feed, vertical
+#: tab), non-ASCII letters a ``\w`` class or IGNORECASE would admit
+#: (``é``, the Kelvin sign U+212A, fullwidth letters and digits),
+#: size-prefixed and unsized based literals, reals and near-reals,
+#: comment openers and closers, the longest operator, and a backslash
+#: that can end up trailing an unterminated string.
+_ALPHABET = (
+    "a", "b1", "_x$", "module", "begin", " ", "\t", "\n", "\r", "\f", "\v",
+    "\u00e9", "\u212a", "\uff21", "\uff14", "4'b", "'sh", "'", "8'hF", "1.5",
+    "12.x", "0", "9_", ".", "/*", "*/", "//", "/", "*", "<<<=", "<", "<<",
+    "<-", "=", ">", '"', "\\", "$", "$d", "x", "z", "?", "'d", "f", "_", ";",
+    "(", ")", "@*", "~^", "!", "#", "`", "\x00", "-", "+:",
+)
+
+
+def _lex_record(lexer_cls, text, start=0, max_tokens=None, precharged=0):
+    """Everything observable about one lex: tokens, diagnostics, budget."""
+    source = SourceFile("t.v", text)
+    sink = []
+    tracker = None
+    if max_tokens is not None:
+        tracker = LimitTracker(ResourceLimits(max_tokens=max_tokens))
+        if precharged:
+            tracker.charge("tokens", precharged)
+    tokens = lexer_cls(source, sink, tracker=tracker, start=start).tokenize()
+    return (
+        [(t.kind, t.value, t.span.start, t.span.end) for t in tokens],
+        [(d.category, d.span.start, d.span.end, d.args) for d in sink],
+        None if tracker is None else (dict(tracker.spent), set(tracker.reported)),
+    )
+
+
+def _assert_same(text, start=0, max_tokens=None, precharged=0):
+    fast = _lex_record(Lexer, text, start, max_tokens, precharged)
+    ref = _lex_record(ReferenceLexer, text, start, max_tokens, precharged)
+    assert fast == ref, (text[:200], start, max_tokens, precharged)
+
+
+def _assert_same_all_budgets(text, rng):
+    start = rng.randint(0, len(text))
+    for begin in (0, start):
+        _assert_same(text, begin)
+        for max_tokens in range(1, 13):
+            _assert_same(text, begin, max_tokens)
+
+
+@pytest.fixture(scope="module")
+def dataset_sources():
+    return [entry.code for entry in build_syntax_dataset(verilogeval(), seed=0)]
+
+
+class TestDifferential:
+    """The master-regex lexer against a frozen copy of the lexer it
+    replaced: equal tokens, spans, diagnostics (category, span, args,
+    order) and token-budget state, unbudgeted and at every budget from 1
+    to 12, from offset 0 and from a random resume offset."""
+
+    def test_corpus_references(self):
+        rng = random.Random(1)
+        for text in REFERENCES:
+            _assert_same_all_budgets(text, rng)
+
+    def test_dataset_entries(self, dataset_sources):
+        assert len(dataset_sources) == 212
+        rng = random.Random(2)
+        for text in dataset_sources:
+            _assert_same_all_budgets(text, rng)
+
+    def test_crash_corpus(self):
+        rng = random.Random(3)
+        paths = sorted(CRASH_CORPUS.glob("*.v"))
+        assert paths
+        for path in paths:
+            _assert_same_all_budgets(path.read_text(encoding="utf-8"), rng)
+
+    def test_random_strings(self):
+        # Each string is lexed unbudgeted and under one budget; the budget
+        # cycles through 1..12 and a third of the runs start with part of
+        # it already spent, as an incremental resume leaves it.
+        rng = random.Random(4)
+        for i in range(20_000):
+            text = "".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 24)))
+            start = rng.randint(0, len(text)) if i % 2 else 0
+            _assert_same(text, start)
+            precharged = rng.randint(1, 3) if i % 3 == 0 else 0
+            _assert_same(text, start, 1 + i % 12, precharged)
+
+    def test_trailing_backslash_in_unterminated_string(self):
+        # The escape skip steps one past the end of the text; the EOF span
+        # keeps that position.
+        text = 'x = "abc\\'
+        tokens, sink = lex(text)
+        assert tokens[-1].kind is TokenKind.EOF
+        assert tokens[-1].span.end == len(text) + 1
+        assert sink[0].span.end == len(text) + 1
+        _assert_same(text)
+        _assert_same(text, max_tokens=3)
+
+
+@pytest.fixture
+def charge_calls(monkeypatch):
+    """Every ``LimitTracker.charge`` call as ``(kind, amount)``."""
+    calls = []
+    charge = LimitTracker.charge
+
+    def counting_charge(self, kind, amount=1):
+        calls.append((kind, amount))
+        return charge(self, kind, amount)
+
+    monkeypatch.setattr(LimitTracker, "charge", counting_charge)
+    return calls
+
+
+class TestWorkCounts:
+    """Deterministic gates on the work the lexer does, counted by call
+    rather than timed."""
+
+    def test_one_budget_charge_per_tokenize(self, charge_calls):
+        tracker = LimitTracker()
+        tokens = Lexer(SourceFile("t.v", REFERENCES[0]), [], tracker=tracker).tokenize()
+        assert charge_calls == [("tokens", len(tokens))]
+        assert tracker.spent["tokens"] == len(tokens)
+
+    def test_overflow_charges_once_and_reports_once(self, charge_calls):
+        tracker = LimitTracker(ResourceLimits(max_tokens=5))
+        sink = []
+        tokens = Lexer(SourceFile("t.v", REFERENCES[0]), sink, tracker=tracker).tokenize()
+        assert charge_calls == [("tokens", 6)]
+        assert len(tokens) == 6 and tokens[-1].kind is TokenKind.EOF
+        assert [d.category for d in sink] == [ErrorCategory.RESOURCE_LIMIT]
+        assert sink[0].span.start == tokens[-2].span.end
+
+
+class TestLineIndex:
+    """``SourceFile``'s ``str.find`` line index against a reference
+    ``enumerate`` scan."""
+
+    @staticmethod
+    def _reference_starts(text):
+        return [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+
+    @staticmethod
+    def _reference_line_col(starts, text, offset):
+        offset = max(0, min(offset, len(text)))
+        line = max(i for i, s in enumerate(starts) if s <= offset)
+        return line + 1, offset - starts[line] + 1
+
+    def _check(self, text):
+        source = SourceFile("t.v", text)
+        starts = self._reference_starts(text)
+        assert source.num_lines == len(starts)
+        for offset in range(-1, len(text) + 2):
+            assert source.line_col(offset) == self._reference_line_col(
+                starts, text, offset
+            )
+        lines = text.split("\n")
+        for line in range(0, len(starts) + 2):
+            expected = lines[line - 1] if 1 <= line <= len(starts) else ""
+            assert source.line_text(line) == expected
+
+    def test_edge_texts(self):
+        for text in ("", "\n", "\n\n", "a", "a\n", "a\r\nb\r\n", "\r\n", "ab\ncd"):
+            self._check(text)
+
+    def test_random_texts(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            text = "".join(
+                rng.choice(("a", "bc", " ", "\n", "\r\n", "\r", "\t", "\u00e9"))
+                for _ in range(rng.randint(0, 40))
+            )
+            self._check(text)
+            self._check(text + "\n")

@@ -1,8 +1,13 @@
 """Unit tests for the Verilog parser."""
 
+from pathlib import Path
+
+from repro.dataset import verilogeval
 from repro.diagnostics import ErrorCategory
-from repro.verilog import SourceFile, parse
+from repro.verilog import LimitTracker, Parser, SourceFile, parse, tokenize
 from repro.verilog import ast
+
+CRASH_CORPUS = Path(__file__).parent / "data" / "crash_corpus"
 
 
 def parse_ok(code: str):
@@ -364,3 +369,32 @@ class TestFunctions:
         gen = [i for i in design.top_module().items if isinstance(i, ast.GenerateFor)]
         assert gen and gen[0].genvar == "g"
         assert len(gen[0].items) == 1
+
+
+class TestDepthBoundWorkCounts:
+    """The nesting-depth bound is read once per parser, not looked up
+    through the tracker at every recursive-descent step."""
+
+    def test_enter_makes_no_tracker_calls(self, monkeypatch):
+        source = SourceFile("t.v", next(iter(verilogeval())).reference)
+        tokens = tokenize(source)
+        calls = []
+        within = LimitTracker.within
+
+        def counting_within(self, kind, value):
+            calls.append(kind)
+            return within(self, kind, value)
+
+        monkeypatch.setattr(LimitTracker, "within", counting_within)
+        sink = []
+        design = Parser(tokens, sink, tracker=LimitTracker()).parse_design()
+        assert design.modules and sink == []
+        assert calls == []
+
+    def test_paren_bomb_reports_depth_exactly_once(self):
+        text = (CRASH_CORPUS / "deep_parens.v").read_text(encoding="utf-8")
+        assert text.count("(") > 10_000
+        sink = []
+        parse(SourceFile("deep_parens.v", text), sink, tracker=LimitTracker())
+        limits = [d for d in sink if d.category is ErrorCategory.RESOURCE_LIMIT]
+        assert [d.args["what"] for d in limits] == ["parse nesting depth"]

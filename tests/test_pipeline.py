@@ -5,6 +5,8 @@ artifact reuse, escalation provenance, wrapper interaction)."""
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.diagnostics import Compiler, ErrorCategory, compile_source
 from repro.diagnostics.engine import DiagnosticEngine
@@ -16,8 +18,9 @@ from repro.runtime import (
     RetryPolicy,
     no_compile_cache,
 )
-from repro.verilog import ResourceLimits
+from repro.verilog import ResourceLimits, SourceFile, tokenize
 from repro.verilog.pipeline import (
+    _LEX_LOOKAHEAD,
     Artifact,
     CompileSession,
     StageCache,
@@ -405,3 +408,37 @@ class TestFingerprint:
         assert any(
             isinstance(part, tuple) and part for part in fp[6]
         )  # at least one diagnostic with a span/args projection
+
+
+#: Chunks that exercise every lexer lookahead: operator prefixes that may
+#: or may not extend (``<`` ``<-`` ``<<<``), numbers that may turn real or
+#: based, comment openers and string quotes.
+_LEX_CHUNKS = st.sampled_from((
+    "a", "b1", "end", " ", "\n", "\t", "0", "12", ".", "5", "_", "'", "'b",
+    "4'h", "f", "x", "<", "-", ">", "=", "!", "&", "|", "~", "^", "*", "/",
+    "+", ":", "@", "(", ")", ";", '"', "\\", "$", "\u00e9", "\f",
+))
+_lex_texts = st.lists(_LEX_CHUNKS, max_size=30).map("".join)
+
+
+class TestLexLookahead:
+    """The bound incremental lex resume relies on: a token that ends
+    ``_LEX_LOOKAHEAD`` characters before a cut point is lexed identically
+    whatever text follows the cut."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_lex_texts, suffix=_lex_texts, data=st.data())
+    def test_tokens_before_cut_ignore_suffix(self, text, suffix, data):
+        cut = data.draw(st.integers(min_value=0, max_value=len(text)))
+
+        def lexed(code):
+            return [
+                (t.kind, t.value, t.span.start, t.span.end)
+                for t in tokenize(SourceFile("t.v", code))
+            ]
+
+        before, after = lexed(text), lexed(text[:cut] + suffix)
+        for i, token in enumerate(before):
+            if token[3] + _LEX_LOOKAHEAD > cut:
+                break
+            assert after[i] == token
