@@ -21,14 +21,18 @@ Python closure operating on a *two-state* integer plane:
 The contract with the engine (:mod:`repro.sim.engine`) is *bail-safe
 speculation*: a lowered closure either completes with results
 bit-identical to the interpreter, or returns ``None`` ("bail") after
-recording every write it performed in an undo log.  The engine then
-rolls the speculative writes back and re-runs the process on the
-existing 4-state interpreter -- the fast path never needs to model X/Z
-propagation, division by zero, out-of-range indexing or any other
-4-state corner, it just refuses to run them.  Constructs with no fast
-lowering at all (frames/local declarations, function calls, ``$display``,
-X/Z literals outside case labels, ...) are detected at lowering time and
-leave the process permanently interpreted.
+recording the first pre-invocation value of every location it wrote in
+an undo log.  The engine then rolls the speculative writes back and
+re-runs the process on the existing 4-state interpreter -- the fast
+path never needs to model X/Z propagation, division by zero,
+out-of-range indexing or any other 4-state corner, it just refuses to
+run them.  Constructs with no fast lowering at all (frames/local
+declarations, function calls, ``$display``, X/Z literals outside case
+labels, ...) are detected at lowering time and leave the process
+permanently interpreted.  Statement closures charge the per-invocation
+statement budget exactly where :class:`~repro.sim.exec.StmtExecutor`
+does, so a runaway loop raises the interpreter's own exception at
+compiled speed instead of bailing.
 
 Lowered designs are content-addressed: :func:`lowered_for` caches the
 per-design closure tables in the active
@@ -42,22 +46,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ..errors import SimulationError
 from ..verilog import ast
 from ..verilog.elaborate import ElabModule, const_eval
 from ..verilog.pipeline import Artifact, _digest, get_active_stage_cache
 from ..verilog.symbols import Symbol
-from .exec import NbaUpdate, StmtExecutor
+from .exec import NbaUpdate, StmtExecutor, stmt_budget_exceeded
 from .values import Logic
 
 #: Stage name under which lowered designs are cached in the StageCache.
 SIM_LOWER_STAGE = "sim-lower"
 
 _DEFAULT_WIDTH = 32
-
-#: Per-loop iteration bound for lowered For/While/Repeat bodies.  A loop
-#: that runs longer bails to the interpreter, which applies (and, past
-#: its own budget, diagnoses) the authoritative loop limits.
-_FAST_LOOP_CAP = 4096
 
 
 class Unlowerable(Exception):
@@ -854,7 +854,9 @@ def _lower_writer(
 ) -> Callable:
     """A writer closure ``write(values, arrays, undo, bits) -> True|None``
     mirroring ``StmtExecutor.assign`` for a known RHS bit pattern of
-    static width ``vw`` / signedness ``vsigned``.
+    static width ``vw`` / signedness ``vsigned``.  ``undo`` maps each
+    written location (a flat net name, or ``(flat array, word)``) to its
+    value before the process invocation; only the first write records.
 
     Writers bail (returning ``None``) only *before* any state change of
     their own; partially applied concat writers rely on the undo log.
@@ -902,7 +904,8 @@ def _lower_writer(
             if (cur.xmask == 0 and cur.bits == nb
                     and cur.width == sw and cur.signed == ssigned):
                 return True
-            undo.append((0, flat, cur))
+            if flat not in undo:
+                undo[flat] = cur
             values[flat] = Logic(sw, nb, 0, ssigned)
             return True
 
@@ -942,7 +945,9 @@ def _lower_select_writer(ctx: _LowerCtx, lvalue: ast.Select, vw: int, vsigned: b
             if words is None:
                 return True  # interpreter drops writes to missing arrays
             if lo <= i <= hi:
-                undo.append((1, flat, i - lo, words[i - lo]))
+                key = (flat, i - lo)
+                if key not in undo:
+                    undo[key] = words[i - lo]
                 words[i - lo] = Logic(aw, _ext(bits, vw, aw, vsigned), 0, vsigned)
             return True  # out-of-range writes are silently dropped
 
@@ -967,7 +972,8 @@ def _lower_select_writer(ctx: _LowerCtx, lvalue: ast.Select, vw: int, vsigned: b
         if (nb == cur.bits and nx == cur.xmask
                 and cur.width == sw and cur.signed == ssigned):
             return True
-        undo.append((0, flat, cur))
+        if flat not in undo:
+            undo[flat] = cur
         values[flat] = Logic(sw, nb, nx, ssigned)
         return True
 
@@ -999,7 +1005,8 @@ def _lower_range_writer(ctx: _LowerCtx, lvalue: ast.RangeSelect, vw: int):
         if (nb == cur.bits and nx == cur.xmask
                 and cur.width == sw and cur.signed == ssigned):
             return True
-        undo.append((0, flat, cur))
+        if flat not in undo:
+            undo[flat] = cur
         values[flat] = Logic(sw, nb, nx, ssigned)
         return True
 
@@ -1031,7 +1038,8 @@ def _lower_indexed_writer(ctx: _LowerCtx, lvalue: ast.IndexedSelect, vw: int):
         if (nb == cur.bits and nx == cur.xmask
                 and cur.width == sw and cur.signed == ssigned):
             return True
-        undo.append((0, flat, cur))
+        if flat not in undo:
+            undo[flat] = cur
         values[flat] = Logic(sw, nb, nx, ssigned)
         return True
 
@@ -1043,30 +1051,76 @@ def _lower_indexed_writer(ctx: _LowerCtx, lvalue: ast.IndexedSelect, vw: int):
 # ---------------------------------------------------------------------------
 #
 # Statement closures have signature
-#     stmt(values, arrays, undo, nba, ex) -> True | None
+#     stmt(values, arrays, undo, nba, ex, bud) -> True | None
 # where ``undo`` collects speculative writes, ``nba`` is the shared
-# nonblocking queue (None in combinational contexts) and ``ex`` is a
+# nonblocking queue (None in combinational contexts), ``ex`` is a
 # per-simulator StmtExecutor used only to commit nonblocking writes to
-# complex l-values with exact interpreter semantics.
+# complex l-values with exact interpreter semantics, and ``bud`` is the
+# per-simulator statement-budget cell ``[left, limit, tracker]`` that
+# the engine refills before every process invocation.  The cell is an
+# argument, never captured: one lowered design serves every simulator
+# and every ``SimLimits``.
+#
+# Every statement closure opens with the same inlined charge, the
+# prologue of StmtExecutor.exec_stmt:
+#
+#     left = bud[0] - 1
+#     bud[0] = left
+#     if not left & 4095 or left < 0:
+#         _stmt_budget_event(bud, left)
+#
+# Up to its first bail a closure runs the same statements, in the same
+# order and on the same values, as the interpreter, so the budget runs
+# out at the same statement and raises the same exception.  Nothing is
+# rolled back on that path: the state is the interpreter's at the same
+# point.
+
+
+def _stmt_budget_event(bud: list, left: int) -> None:
+    """Slow path of the inlined statement charge: overflow, or the
+    watchdog poll every 4096 statements (as in StmtExecutor.exec_stmt)."""
+    tracker = bud[2]
+    if left < 0:
+        raise stmt_budget_exceeded(bud[1], tracker)
+    if tracker is not None:
+        tracker.tick()
+
+
+#: Budget cell for ``for`` init and step assigns, which the interpreter
+#: runs uncharged: lowered like any assignment, they charge this
+#: practically bottomless cell instead of the process's own.  Every
+#: simulator shares it; nothing reads its count, so that is harmless.
+_UNCHARGED = [1 << 62, 1 << 62, None]
 
 
 def lower_stmt(ctx: _LowerCtx, stmt: ast.Stmt, seq: bool) -> Callable:
-    """Lower one statement to ``fn(values, arrays, undo, nba, ex) -> True|None``.
+    """Lower one statement to ``fn(values, arrays, undo, nba, ex, bud) -> True|None``.
 
     ``seq`` selects non-blocking-assignment handling for edge-sensitive
     processes.  Raises :class:`Unlowerable` for constructs the fast path
     does not cover; the returned closure itself returns ``None`` (bail)
     when it meets X/Z at run time."""
     if isinstance(stmt, ast.NullStmt):
-        return lambda values, arrays, undo, nba, ex: True
+        def run_null(values, arrays, undo, nba, ex, bud):
+            left = bud[0] - 1
+            bud[0] = left
+            if not left & 4095 or left < 0:
+                _stmt_budget_event(bud, left)
+            return True
+
+        return run_null
     if isinstance(stmt, ast.Block):
         if stmt.decls:
             raise Unlowerable("block-local declarations need a frame")
         children = [lower_stmt(ctx, child, seq) for child in stmt.stmts]
 
-        def run_block(values, arrays, undo, nba, ex):
+        def run_block(values, arrays, undo, nba, ex, bud):
+            left = bud[0] - 1
+            bud[0] = left
+            if not left & 4095 or left < 0:
+                _stmt_budget_event(bud, left)
             for child in children:
-                if child(values, arrays, undo, nba, ex) is None:
+                if child(values, arrays, undo, nba, ex, bud) is None:
                     return None
             return True
 
@@ -1078,14 +1132,18 @@ def lower_stmt(ctx: _LowerCtx, stmt: ast.Stmt, seq: bool) -> Callable:
         then = lower_stmt(ctx, stmt.then, seq)
         other = lower_stmt(ctx, stmt.other, seq) if stmt.other is not None else None
 
-        def run_if(values, arrays, undo, nba, ex, _c=cond.fn):
+        def run_if(values, arrays, undo, nba, ex, bud, _c=cond.fn):
+            left = bud[0] - 1
+            bud[0] = left
+            if not left & 4095 or left < 0:
+                _stmt_budget_event(bud, left)
             c = _c(values, arrays)
             if c is None:
                 return None
             if c:
-                return then(values, arrays, undo, nba, ex)
+                return then(values, arrays, undo, nba, ex, bud)
             if other is not None:
-                return other(values, arrays, undo, nba, ex)
+                return other(values, arrays, undo, nba, ex, bud)
             return True
 
         return run_if
@@ -1097,31 +1155,35 @@ def lower_stmt(ctx: _LowerCtx, stmt: ast.Stmt, seq: bool) -> Callable:
         cond = lower_expr(ctx, stmt.cond, None)
         body = lower_stmt(ctx, stmt.body, seq)
 
-        def run_while(values, arrays, undo, nba, ex, _c=cond.fn):
-            n = 0
+        def run_while(values, arrays, undo, nba, ex, bud, _c=cond.fn):
+            left = bud[0] - 1
+            bud[0] = left
+            if not left & 4095 or left < 0:
+                _stmt_budget_event(bud, left)
             while True:
                 c = _c(values, arrays)
                 if c is None:
                     return None
                 if not c:
                     return True
-                if body(values, arrays, undo, nba, ex) is None:
+                if body(values, arrays, undo, nba, ex, bud) is None:
                     return None
-                n += 1
-                if n > _FAST_LOOP_CAP:
-                    return None  # let the interpreter police the budget
 
         return run_while
     if isinstance(stmt, ast.Repeat):
         count = lower_expr(ctx, stmt.count, None)
         body = lower_stmt(ctx, stmt.body, seq)
 
-        def run_repeat(values, arrays, undo, nba, ex, _c=count.fn):
+        def run_repeat(values, arrays, undo, nba, ex, bud, _c=count.fn):
+            left = bud[0] - 1
+            bud[0] = left
+            if not left & 4095 or left < 0:
+                _stmt_budget_event(bud, left)
             times = _c(values, arrays)
-            if times is None or times > _FAST_LOOP_CAP:
+            if times is None:
                 return None
             for _ in range(times):
-                if body(values, arrays, undo, nba, ex) is None:
+                if body(values, arrays, undo, nba, ex, bud) is None:
                     return None
             return True
 
@@ -1137,7 +1199,11 @@ def _lower_assign(ctx: _LowerCtx, stmt: ast.ProcAssign, seq: bool) -> Callable:
     if stmt.blocking or not seq:
         writer = _lower_writer(ctx, stmt.lvalue, vw, vsigned)
 
-        def run_assign(values, arrays, undo, nba, ex, _v=val.fn):
+        def run_assign(values, arrays, undo, nba, ex, bud, _v=val.fn):
+            left = bud[0] - 1
+            bud[0] = left
+            if not left & 4095 or left < 0:
+                _stmt_budget_event(bud, left)
             b = _v(values, arrays)
             if b is None:
                 return None
@@ -1161,7 +1227,11 @@ def _lower_assign(ctx: _LowerCtx, stmt: ast.ProcAssign, seq: bool) -> Callable:
         sign = (1 << (vw - 1)) if (vsigned and sw > vw) else 0
         extm = (_mask(sw) ^ _mask(vw)) if sign else 0
 
-        def queue_ident(values, arrays, undo, nba, ex, _v=val.fn):
+        def queue_ident(values, arrays, undo, nba, ex, bud, _v=val.fn):
+            left = bud[0] - 1
+            bud[0] = left
+            if not left & 4095 or left < 0:
+                _stmt_budget_event(bud, left)
             b = _v(values, arrays)
             if b is None:
                 return None
@@ -1176,7 +1246,11 @@ def _lower_assign(ctx: _LowerCtx, stmt: ast.ProcAssign, seq: bool) -> Callable:
     lvalue = stmt.lvalue
     _lower_writer(ctx, lvalue, vw, vsigned)  # validate lowerable now
 
-    def queue_complex(values, arrays, undo, nba, ex, _v=val.fn):
+    def queue_complex(values, arrays, undo, nba, ex, bud, _v=val.fn):
+        left = bud[0] - 1
+        bud[0] = left
+        if not left & 4095 or left < 0:
+            _stmt_budget_event(bud, left)
         b = _v(values, arrays)
         if b is None:
             return None
@@ -1215,7 +1289,11 @@ def _lower_case(ctx: _LowerCtx, stmt: ast.Case, seq: bool) -> Callable:
         else:
             match_entries.append((matchers, body))
 
-    def run_case(values, arrays, undo, nba, ex, _s=subject.fn):
+    def run_case(values, arrays, undo, nba, ex, bud, _s=subject.fn):
+        left = bud[0] - 1
+        bud[0] = left
+        if not left & 4095 or left < 0:
+            _stmt_budget_event(bud, left)
         s = _s(values, arrays)
         if s is None:
             return None
@@ -1225,9 +1303,9 @@ def _lower_case(ctx: _LowerCtx, stmt: ast.Case, seq: bool) -> Callable:
                 if m is None:
                     return None
                 if m:
-                    return body(values, arrays, undo, nba, ex)
+                    return body(values, arrays, undo, nba, ex, bud)
         if default is not None:
-            return default(values, arrays, undo, nba, ex)
+            return default(values, arrays, undo, nba, ex, bud)
         return True
 
     return run_case
@@ -1299,10 +1377,13 @@ def _lower_for(ctx: _LowerCtx, stmt: ast.For, seq: bool) -> Callable:
     body = lower_stmt(ctx, stmt.body, seq)
     cond_fn = cond.fn if cond is not None else None
 
-    def run_for(values, arrays, undo, nba, ex):
-        if init is not None and init(values, arrays, undo, nba, ex) is None:
+    def run_for(values, arrays, undo, nba, ex, bud):
+        left = bud[0] - 1
+        bud[0] = left
+        if not left & 4095 or left < 0:
+            _stmt_budget_event(bud, left)
+        if init is not None and init(values, arrays, undo, nba, ex, _UNCHARGED) is None:
             return None
-        n = 0
         while True:
             if cond_fn is not None:
                 c = cond_fn(values, arrays)
@@ -1310,15 +1391,17 @@ def _lower_for(ctx: _LowerCtx, stmt: ast.For, seq: bool) -> Callable:
                     return None
                 if not c:
                     return True
-            if body(values, arrays, undo, nba, ex) is None:
+            if body(values, arrays, undo, nba, ex, bud) is None:
                 return None
             if step is None:
                 return True
-            if step(values, arrays, undo, nba, ex) is None:
+            if step(values, arrays, undo, nba, ex, _UNCHARGED) is None:
                 return None
-            n += 1
-            if n > _FAST_LOOP_CAP:
-                return None
+            # One unit per completed iteration (StmtExecutor._exec_for).
+            left = bud[0] - 1
+            bud[0] = left
+            if left < 0:
+                raise SimulationError("for-loop budget exceeded")
 
     return run_for
 
@@ -1342,7 +1425,7 @@ class LoweredDesign:
 
     assigns: list  # assign_fn(values, arrays, undo) -> True|None
     connections: list
-    comb: list  # stmt_fn(values, arrays, undo, nba, ex) -> True|None
+    comb: list  # stmt_fn(values, arrays, undo, nba, ex, bud) -> True|None
     seq: list
     edges: list  # per seq process: list of expr_fn(values, arrays) | None
 

@@ -8,11 +8,14 @@ that swaps the per-delta-cycle AST walk for the lowered closures built by
   closure, which operates on raw known bit patterns and *bails* (returns
   ``None``) the moment it touches an X/Z bit or any other 4-state
   corner.  A bailed process has its speculative writes rolled back from
-  an undo log and is re-run on the interpreter, so results are
+  an undo log (one entry per location written, holding its value before
+  the invocation) and is re-run on the interpreter, so results are
   bit-identical by construction.  Demotion is per-invocation, not
   sticky: the same process speculates again next delta cycle, so a
   design that starts all-X at reset recovers the fast path as soon as
-  its nets take known values.
+  its nets take known values.  The statement budget is charged on the
+  fast path exactly as the interpreter charges it, so a runaway loop
+  raises the interpreter's exception without ever being re-run.
 * **change tracking instead of snapshots** -- the interpreter's settle
   loop copies and compares the whole value dict every pass;
   :class:`_TrackingDict` records first-seen old values per pass, making
@@ -40,7 +43,7 @@ from ..verilog.elaborate import ElabDesign
 from ..verilog.limits import ResourceLimits
 from .compile import LoweredDesign, lowered_for
 from .eval import Evaluator
-from .exec import NbaUpdate, StmtExecutor
+from .exec import NbaUpdate, StmtExecutor, stmt_budget
 from .limits import SimLimits, SimLimitTracker
 from .simulator import Simulator, _edge_fired
 from .values import Logic
@@ -92,7 +95,13 @@ class CompiledSimulator(Simulator):
         #: for tests and telemetry.
         self.fast_runs = 0
         self.demotions = 0
-        self._undo: list = []
+        #: location (flat net name or (flat array, word)) -> value before
+        #: the running invocation; only a location's first write records.
+        self._undo: dict = {}
+        #: statement-budget cell [left, limit, tracker] passed to every
+        #: lowered statement closure; ``left`` is refilled per invocation.
+        limit = stmt_budget(self.sim_tracker)
+        self._budget = [limit, limit, self.sim_tracker]
         self._lowered: LoweredDesign = lowered_for(self)
         # One reusable executor per process for NBA fallback commits
         # (complex l-values re-resolve indices at commit time through
@@ -159,11 +168,11 @@ class CompiledSimulator(Simulator):
     def _rollback(self) -> None:
         values = self.state.values
         arrays = self.state.arrays
-        for entry in reversed(self._undo):
-            if entry[0] == 0:
-                values[entry[1]] = entry[2]
+        for key, old in self._undo.items():
+            if type(key) is str:
+                values[key] = old
             else:
-                arrays[entry[1]][entry[2]] = entry[3]
+                arrays[key[0]][key[1]] = old
         self._undo.clear()
         self.demotions += 1
 
@@ -171,21 +180,28 @@ class CompiledSimulator(Simulator):
         values = self.state.values
         arrays = self.state.arrays
         undo = self._undo
+        budget = self._budget
+        limit = budget[1]
         fast = 0
-        for fn, is_stmt, fallback in self._comb_ops:
-            if fn is not None:
-                ok = (
-                    fn(values, arrays, undo, None, None)
-                    if is_stmt
-                    else fn(values, arrays, undo)
-                )
-                if ok is not None:
-                    if undo:
-                        undo.clear()
-                    fast += 1
-                    continue
-                self._rollback()
-            fallback()
+        try:
+            for fn, is_stmt, fallback in self._comb_ops:
+                if fn is not None:
+                    if is_stmt:
+                        budget[0] = limit
+                        ok = fn(values, arrays, undo, None, None, budget)
+                    else:
+                        ok = fn(values, arrays, undo)
+                    if ok is not None:
+                        if undo:
+                            undo.clear()
+                        fast += 1
+                        continue
+                    self._rollback()
+                fallback()
+        finally:
+            # A budget overflow on the fast path keeps its writes, as
+            # the interpreter would; only the log of them goes.
+            undo.clear()
         self.fast_runs += fast
 
     def settle(self) -> None:
@@ -274,21 +290,27 @@ class CompiledSimulator(Simulator):
         values = self.state.values
         arrays = self.state.arrays
         undo = self._undo
+        budget = self._budget
         lowered = self._lowered
-        for pi in triggered:
-            proc = self._seq[pi]
-            fn = lowered.seq[pi]
-            if fn is not None:
-                mark = len(nba)
-                if fn(values, arrays, undo, nba, self._seq_ex[pi]) is not None:
-                    undo.clear()
-                    self.fast_runs += 1
-                    continue
-                del nba[mark:]
-                self._rollback()
-            StmtExecutor(proc.ctx, nba=nba, display=self.display_log).exec_stmt(
-                proc.block.body
-            )
+        try:
+            for pi in triggered:
+                proc = self._seq[pi]
+                fn = lowered.seq[pi]
+                if fn is not None:
+                    mark = len(nba)
+                    budget[0] = budget[1]
+                    if fn(values, arrays, undo, nba, self._seq_ex[pi],
+                          budget) is not None:
+                        undo.clear()
+                        self.fast_runs += 1
+                        continue
+                    del nba[mark:]
+                    self._rollback()
+                StmtExecutor(
+                    proc.ctx, nba=nba, display=self.display_log
+                ).exec_stmt(proc.block.body)
+        finally:
+            undo.clear()  # see _comb_pass
         for update in nba:
             # Fast-path NBAs are bare (flat, Logic) tuples; interpreter
             # fallbacks queue NbaUpdate objects.  One ordered list keeps

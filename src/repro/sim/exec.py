@@ -28,6 +28,24 @@ from .values import Logic
 _LOOP_BUDGET = 200_000
 
 
+def stmt_budget(tracker) -> int:
+    """The per-invocation statement budget under ``tracker`` (shared by
+    :class:`StmtExecutor` and the compiled engine's fast path)."""
+    if tracker is not None:
+        return tracker.limits.max_stmt_executions
+    return _LOOP_BUDGET
+
+
+def stmt_budget_exceeded(limit: int, tracker) -> SimLimitExceeded:
+    """The overflow both engines raise when the statement budget runs out."""
+    return SimLimitExceeded(
+        "stmt executions",
+        limit,
+        message="procedural loop budget exceeded (runaway loop?)",
+        phase=getattr(tracker, "phase", ""),
+    )
+
+
 @dataclass
 class NbaUpdate:
     """A pending nonblocking update: apply(value) commits it."""
@@ -108,11 +126,7 @@ class StmtExecutor:
         #: Budgets come from the owning simulator's tracker when present
         #: (and then include the periodic wall-clock watchdog poll).
         self.tracker = getattr(ctx, "tracker", None)
-        self._budget_limit = (
-            self.tracker.limits.max_stmt_executions
-            if self.tracker is not None
-            else _LOOP_BUDGET
-        )
+        self._budget_limit = stmt_budget(self.tracker)
         self._budget = self._budget_limit
 
     # -- statement dispatch ------------------------------------------------
@@ -121,12 +135,7 @@ class StmtExecutor:
         budget = self._budget - 1
         self._budget = budget
         if budget < 0:
-            raise SimLimitExceeded(
-                "stmt executions",
-                self._budget_limit,
-                message="procedural loop budget exceeded (runaway loop?)",
-                phase=getattr(self.tracker, "phase", ""),
-            )
+            raise stmt_budget_exceeded(self._budget_limit, self.tracker)
         if budget & 4095 == 0 and self.tracker is not None:
             self.tracker.tick()
         if isinstance(stmt, ast.NullStmt):
@@ -164,7 +173,9 @@ class StmtExecutor:
         if isinstance(stmt, ast.Repeat):
             count = self.evaluator.eval(stmt.count)
             times = count.to_int() if count.is_fully_known else 0
-            for _ in range(min(times, _LOOP_BUDGET)):
+            # Unclamped: every iteration charges the body's statement,
+            # so the budget bounds the loop.
+            for _ in range(times):
                 self.exec_stmt(stmt.body)
             return
         if isinstance(stmt, ast.TaskCall):

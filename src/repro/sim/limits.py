@@ -101,11 +101,9 @@ class SimLimits:
 #: a handful of outputs), hard wall for hostile designs.
 DEFAULT_SIM_LIMITS = SimLimits()
 
-#: Tight limits for fuzzing.  ``max_stmt_executions`` deliberately stays
-#: at the production default: the statement budget is shared with the
-#: compiled engine only through interpreter fallback (single loops past
-#: the lowering cap always bail), so tightening it would let nested
-#: fast-path loops diverge from the interpreter's accounting.
+#: Tight limits for fuzzing.  ``max_stmt_executions`` stays at the
+#: production default so the fuzz corpus keeps its recorded verdicts;
+#: both engines charge it at the same statements, so any value is exact.
 FUZZ_SIM_LIMITS = SimLimits(
     max_cycles=512,
     max_events_per_cycle=20_000,

@@ -1,8 +1,8 @@
 // hostile: mode=diff samples=4 kind=stmt_executions
 // A procedural loop that never comes close to terminating.  Both
-// engines run it on the interpreter (single loops past the fast-path
-// lowering cap always bail), so the per-invocation statement budget
-// trips identically.
+// engines charge the per-invocation statement budget at the same
+// statements (the compiled engine on its fast path), so it trips
+// identically.
 module top_module(input clk, output reg out);
   reg [31:0] i;
   always @(posedge clk) begin

@@ -346,6 +346,30 @@ class TestWatchdog:
         # one read at construction plus one per stride
         assert calls[0] <= 1 + 3
 
+    def test_compiled_fast_path_polls_the_watchdog(self):
+        # A billion statements over known values, each loop short enough
+        # to stay on the compiled fast path; the statement budget is
+        # lifted out of the way, so only the watchdog can stop it.
+        design = build(
+            "module top_module(input a, output reg [31:0] y);\n"
+            "integer i, j, k;\n"
+            "always @(*) begin\n"
+            "  y = 0;\n"
+            "  for (i = 0; i < 1000; i = i + 1)\n"
+            "    for (j = 0; j < 1000; j = j + 1)\n"
+            "      for (k = 0; k < 1000; k = k + 1)\n"
+            "        y = y + 1;\n"
+            "end\nendmodule\n"
+        )
+        limits = SimLimits(max_stmt_executions=10**9, wall_clock_s=0.5)
+        with no_verdict_cache():
+            outcome = simulate(
+                design, design, samples=4, engine="compiled",
+                sim_limits=limits,
+            )
+        assert outcome.verdict.category == "limit"
+        assert outcome.verdict.kind == "wall clock"
+
 
 # ---------------------------------------------------------------------------
 # Display log and telemetry
