@@ -442,11 +442,12 @@ def test_sim_sandbox_overhead(benchmark):
         batches drifts with CPU ramp-up and scheduler noise by far more
         than the ~2% effect being measured; paired ratios cancel the
         drift, alternation cancels within-pair ordering bias, and the
-        median ignores spikes."""
+        median ignores spikes.  Returns the percentage with the tracked
+        and untracked seconds *of the median round*, so the printed
+        seconds always agree in sign with the percentage."""
         tracked_fn()
         untracked_fn()
-        ratios = []
-        t_best = u_best = float("inf")
+        pairs = []
         for index in range(rounds):
             if index % 2 == 0:
                 t = _timed(tracked_fn)[1]
@@ -454,11 +455,10 @@ def test_sim_sandbox_overhead(benchmark):
             else:
                 u = _timed(untracked_fn)[1]
                 t = _timed(tracked_fn)[1]
-            t_best = min(t_best, t)
-            u_best = min(u_best, u)
-            ratios.append(t / u if u else 1.0)
-        ratios.sort()
-        return 100.0 * (ratios[len(ratios) // 2] - 1.0), t_best, u_best
+            pairs.append((t / u if u else 1.0, t, u))
+        pairs.sort()
+        ratio, t, u = pairs[len(pairs) // 2]
+        return 100.0 * (ratio - 1.0), t, u
 
     # Long-enough drives that the ~ms scheduler noise on a small CI box
     # stays well under the effect size; the tracked variant gets a

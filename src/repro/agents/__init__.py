@@ -1,5 +1,6 @@
 """Agents: the ReAct debugging loop and the One-shot baseline."""
 
+from ..repair.transcript import Transcript, Turn
 from .oneshot import OneShotAgent
 from .prompts import (
     GENERATION_SYSTEM_PROMPT,
@@ -10,7 +11,6 @@ from .prompts import (
 )
 from .react import DEFAULT_MAX_ITERATIONS, AgentResult, ReActAgent
 from .simfix import SimDebugAgent, SimFixResult
-from .transcript import Transcript, Turn
 
 __all__ = [
     "AgentResult",

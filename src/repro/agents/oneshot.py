@@ -13,8 +13,8 @@ from typing import Optional
 from ..diagnostics import Compiler
 from ..llm.base import RepairModel
 from ..rag.retrievers import Retriever
+from ..repair.transcript import Transcript
 from .react import AgentResult, record_rule_fix
-from .transcript import Transcript
 
 
 class OneShotAgent:

@@ -40,7 +40,7 @@ from ..repair import (
     RepairEngine,
     SimOracle,
 )
-from .transcript import Transcript, Turn
+from ..repair.transcript import Transcript, Turn
 
 #: The simulation flavor of the engine loop: Simulator action, 2-line
 #: action input, improving-only (hill-climbing) acceptance, no Finish

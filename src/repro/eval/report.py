@@ -25,18 +25,16 @@ from ..dataset.rtllm import rtllm
 from ..llm.pool import RoutingSpec, get_default_llm_routing, use_llm_routing
 from ..runtime import (
     CircuitBreaker,
-    CompileCache,
     RunContext,
     RunState,
-    StageCache,
     TokenCounter,
     use_compile_cache,
     use_stage_cache,
     use_token_counter,
 )
 from ..sim.engine import get_default_sim_engine
-from ..sim.sandbox import SandboxStats, use_sandbox_stats
-from ..sim.verdict import VerdictCache, use_verdict_cache
+from ..sim.sandbox import use_sandbox_stats
+from ..sim.verdict import use_verdict_cache
 from .experiments import (
     PAPER_TABLE1,
     PAPER_TABLE2,
@@ -255,15 +253,11 @@ def run_full_report(
         state = RunState(run_dir)
         state.ensure_manifest(report_manifest(scale, llm=llm_manifest), resume=resume)
     ctx = RunContext(state=state, breaker=breaker, should_stop=should_stop)
-    cache = CompileCache()
-    stage_cache = StageCache()
-    verdict_cache = VerdictCache()
-    sandbox_stats = SandboxStats()
     llm_counter = TokenCounter()
     try:
-        with use_compile_cache(cache), use_stage_cache(stage_cache), \
-                use_verdict_cache(verdict_cache), use_llm_routing(routing), \
-                use_sandbox_stats(sandbox_stats), \
+        with use_compile_cache() as cache, use_stage_cache() as stage_cache, \
+                use_verdict_cache() as verdict_cache, use_llm_routing(routing), \
+                use_sandbox_stats() as sandbox_stats, \
                 use_token_counter(llm_counter):
             report = _run_experiments(scale, dataset, progress, jobs, on_error, ctx)
         report.cache = cache.stats.as_dict()

@@ -18,7 +18,6 @@ from .pool import (
     RoutingSpec,
     get_default_llm_routing,
     routing_from_config,
-    set_default_llm_routing,
     use_llm_routing,
 )
 from .repair.diagnosis import ParsedError, detect_flavor, parse_feedback
@@ -41,7 +40,6 @@ __all__ = [
     "SimulatedChatClient",
     "get_default_llm_routing",
     "routing_from_config",
-    "set_default_llm_routing",
     "use_llm_routing",
     "LLMClient",
     "LOGIC_CAPABILITY",

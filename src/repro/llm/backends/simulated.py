@@ -36,10 +36,10 @@ from __future__ import annotations
 import hashlib
 import re
 import threading
-from collections import OrderedDict
 from typing import Optional
 
 from ...rag.database import GuidanceEntry
+from ...runtime.ambient import LRUStore
 from ..base import ChatMessage, RepairStep
 from ..openai_stub import build_repair_messages
 from ..simulated import SimulatedLLM
@@ -211,7 +211,7 @@ class SimulatedChatClient:
         self.tier = tier
         self.seed = seed
         self.max_sessions = max_sessions
-        self._sessions: OrderedDict = OrderedDict()
+        self._sessions = LRUStore(max_sessions)
         self._lock = threading.Lock()
 
     def with_seed(self, seed: int) -> "SimulatedChatClient":
@@ -252,9 +252,7 @@ class SimulatedChatClient:
         token = header.group("token")
         with self._lock:
             session = self._sessions.get(token)
-            if session is not None:
-                self._sessions.move_to_end(token)
-            else:
+            if session is None:
                 model = SimulatedLLM(
                     tier=self.tier, temperature=temperature, seed=self.seed
                 )
@@ -263,9 +261,7 @@ class SimulatedChatClient:
                     flavor=header.group("flavor"),
                     use_rag=header.group("rag") == "1",
                 )
-                self._sessions[token] = session
-                while len(self._sessions) > self.max_sessions:
-                    self._sessions.popitem(last=False)
+                self._sessions.put(token, session)
         # Step outside the lock: a token is only ever stepped by its own
         # trial, so concurrent trials proceed in parallel.
         step = session.step(code, feedback, guidance)

@@ -41,12 +41,12 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from ..errors import LLMError, RetryExhaustedError, TransientError
 from ..rag.database import GuidanceEntry
+from ..runtime.ambient import Ambient
 from ..runtime.accounting import (
     TokenCounter,
     estimate_tokens,
@@ -545,40 +545,13 @@ class PooledRepairSession:
         return parse_pool_reply(reply, guidance)
 
 
-# -- process-global routing injection ---------------------------------------
-# Same shape as use_compile_cache / use_token_counter: tests and
-# experiment drivers install a RoutingSpec here and every RTLFixer built
-# inside the scope (including in forked process workers) routes its
-# model through a pool -- no plumbing through call signatures.
-
-_active_routing: Optional[RoutingSpec] = None
-_routing_lock = threading.Lock()
-
-
-def get_default_llm_routing() -> Optional[RoutingSpec]:
-    """The ambient routing spec, or ``None`` (direct models)."""
-    return _active_routing
-
-
-def set_default_llm_routing(
-    routing: Optional[RoutingSpec],
-) -> Optional[RoutingSpec]:
-    """Install ``routing`` as the ambient spec; returns the previous."""
-    global _active_routing
-    with _routing_lock:
-        previous = _active_routing
-        _active_routing = routing
-    return previous
-
-
-@contextmanager
-def use_llm_routing(routing: Optional[RoutingSpec]) -> Iterator[Optional[RoutingSpec]]:
-    """Scope an ambient routing spec for a ``with`` block."""
-    previous = set_default_llm_routing(routing)
-    try:
-        yield routing
-    finally:
-        set_default_llm_routing(previous)
+#: The ambient routing spec, or ``None`` (direct models): tests and
+#: experiment drivers scope a RoutingSpec and every RTLFixer built inside
+#: the scope (including in forked process workers) routes its model
+#: through a pool -- no plumbing through call signatures.
+LLM_ROUTING = Ambient()
+get_default_llm_routing = LLM_ROUTING.get
+use_llm_routing = LLM_ROUTING.use
 
 
 def routing_from_config(config) -> Optional[RoutingSpec]:
@@ -607,6 +580,5 @@ __all__ = [
     "TIER_PRICES",
     "get_default_llm_routing",
     "routing_from_config",
-    "set_default_llm_routing",
     "use_llm_routing",
 ]

@@ -62,19 +62,6 @@ from .cache import (
     use_compile_cache,
 )
 
-# Stage-granular counterpart of the whole-result compile cache: the
-# staged pipeline's artifact cache and incremental CompileSession
-# (defined in repro.verilog.pipeline, re-exported here beside the
-# runtime's other caching/observability surface).
-from ..verilog.pipeline import (
-    CompileSession,
-    PipelineStats,
-    StageCache,
-    get_active_stage_cache,
-    no_stage_cache,
-    set_active_stage_cache,
-    use_stage_cache,
-)
 from .executor import (
     ParallelRunner,
     WorkFailure,
@@ -117,7 +104,6 @@ from .accounting import (
     TokenCounter,
     estimate_tokens,
     get_active_token_counter,
-    set_active_token_counter,
     use_token_counter,
 )
 from .limiter import ConcurrencyGate, TokenBucket
@@ -133,7 +119,6 @@ __all__ = [
     "get_active_token_counter",
     "guidance_key",
     "messages_key",
-    "set_active_token_counter",
     "use_token_counter",
     "ChaosCompiler",
     "CompileSession",
@@ -191,3 +176,21 @@ __all__ = [
     "set_active_cache",
     "use_compile_cache",
 ]
+
+# Stage-granular counterpart of the whole-result compile cache: the
+# staged pipeline's artifact cache and incremental CompileSession,
+# defined in repro.verilog.pipeline and re-exported here beside the
+# runtime's other caching surface.  Resolved on first access, because
+# the pipeline itself imports this package's ambient slot type.
+_PIPELINE_EXPORTS = frozenset({
+    "CompileSession", "PipelineStats", "StageCache", "get_active_stage_cache",
+    "no_stage_cache", "set_active_stage_cache", "use_stage_cache",
+})
+
+
+def __getattr__(name: str):
+    if name in _PIPELINE_EXPORTS:
+        from ..verilog import pipeline
+
+        return getattr(pipeline, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,18 +12,20 @@ memoized behind a content address.
 :class:`CompileCache` keys results by a SHA-256 digest of exactly those
 inputs (the compiler *flavor* is part of the key: an iverilog-rendered
 and a Quartus-rendered result of the same source must never collide),
-holds them in an LRU-bounded map, and tracks hit/miss/eviction
-statistics so observability ships with the optimization.
+holds them in an :class:`~repro.runtime.ambient.LRUStore`, and tracks
+hit/miss/eviction statistics so observability ships with the
+optimization.
 
 Injection point
 ---------------
 
-A process-wide *active* cache is consulted by :func:`cached_compile`,
-which is what the hot paths (``repro.eval.runner``, the agents'
-``Compiler`` facade, the dataset curation pipeline, ...) call instead of
-``compile_source``.  The default active cache is enabled at import time;
-:func:`use_compile_cache` scopes a fresh (or no) cache to a ``with``
-block, and :func:`set_active_cache` swaps it explicitly:
+A process-wide *active* cache, the :data:`COMPILE_CACHE` ambient slot,
+is consulted by :func:`cached_compile`, which is what the hot paths
+(``repro.eval.runner``, the agents' ``Compiler`` facade, the dataset
+curation pipeline, ...) call instead of ``compile_source``.  The default
+active cache is enabled at import time; :func:`use_compile_cache` scopes
+a fresh (or no) cache to a ``with`` block, and :func:`set_active_cache`
+swaps it explicitly:
 
 >>> with use_compile_cache() as cache:
 ...     run_table2(problems)
@@ -38,21 +40,16 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from collections import Counter, OrderedDict
-from contextlib import contextmanager
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Optional
+
+from .ambient import DEFAULT_MAXSIZE, Ambient, LRUStore
 
 if TYPE_CHECKING:  # runtime import is deferred to avoid a cycle with
     # repro.diagnostics, whose Compiler facade routes through this cache.
     from ..diagnostics.compiler import CompileResult
     from ..verilog.limits import ResourceLimits
-
-#: Default LRU bound of a :class:`CompileCache`.  Full-scale experiment
-#: runs touch a few thousand distinct sources; elaborated designs for
-#: the corpus are small (a few KB each), so this keeps the whole working
-#: set resident without unbounded growth on adversarial workloads.
-DEFAULT_MAXSIZE = 4096
 
 
 def compile_key(
@@ -140,18 +137,16 @@ class CompileCache:
     """
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = maxsize
+        self._store = LRUStore(maxsize)
         self.stats = CacheStats()
-        self._entries: "OrderedDict[str, CompileResult]" = OrderedDict()
+        #: Guards ``stats`` and ``_inflight``.
         self._lock = threading.Lock()
         #: key -> event set when that key's in-flight compile finishes
         #: (single-flight coalescing of concurrent misses).
         self._inflight: dict[str, threading.Event] = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._store)
 
     def compile(
         self,
@@ -181,9 +176,8 @@ class CompileCache:
         # -- one full front-end run per key, not one per thread.
         while True:
             with self._lock:
-                cached = self._entries.get(key)
+                cached = self._store.get(key)
                 if cached is not None:
-                    self._entries.move_to_end(key)
                     self.stats.hits += 1
                     return cached
                 leader = key not in self._inflight
@@ -206,12 +200,9 @@ class CompileCache:
                     code, name=name, flavor=flavor, include_files=include_files,
                     limits=limits,
                 )
+            evicted = self._store.put(key, result)
             with self._lock:
-                self._entries[key] = result
-                self._entries.move_to_end(key)
-                while len(self._entries) > self.maxsize:
-                    self._entries.popitem(last=False)
-                    self.stats.evictions += 1
+                self.stats.evictions += evicted
             return result
         finally:
             # Always release the waiters -- even if compile_source raised
@@ -233,8 +224,7 @@ class CompileCache:
             code, name=name, flavor=flavor, include_files=include_files,
             limits=limits,
         )
-        with self._lock:
-            return key in self._entries
+        return key in self._store
 
     def misses_for(
         self,
@@ -254,8 +244,8 @@ class CompileCache:
 
     def clear(self) -> None:
         """Drop all entries and reset the statistics."""
+        self._store.clear()
         with self._lock:
-            self._entries.clear()
             self.stats = CacheStats()
 
 
@@ -263,55 +253,13 @@ class CompileCache:
 #: caller of :func:`cached_compile` benefits without opting in.
 DEFAULT_CACHE = CompileCache()
 
-_active_cache: Optional[CompileCache] = DEFAULT_CACHE
-_active_lock = threading.Lock()
-
-
-def get_active_cache() -> Optional[CompileCache]:
-    """The cache :func:`cached_compile` currently consults (or None)."""
-    return _active_cache
-
-
-def set_active_cache(cache: Optional[CompileCache]) -> Optional[CompileCache]:
-    """Install ``cache`` as the active cache; returns the previous one.
-
-    Pass ``None`` to disable caching entirely (every
-    :func:`cached_compile` call falls through to ``compile_source``).
-    """
-    global _active_cache
-    with _active_lock:
-        previous = _active_cache
-        _active_cache = cache
-        return previous
-
-
-@contextmanager
-def use_compile_cache(
-    cache: Optional[CompileCache] = None, maxsize: int = DEFAULT_MAXSIZE
-) -> Iterator[CompileCache]:
-    """Scope a compile cache to a ``with`` block.
-
-    With no argument a fresh :class:`CompileCache` is created -- handy
-    for measuring exactly what one experiment compiles.  The previously
-    active cache is restored on exit.
-    """
-    scoped = cache if cache is not None else CompileCache(maxsize=maxsize)
-    previous = set_active_cache(scoped)
-    try:
-        yield scoped
-    finally:
-        set_active_cache(previous)
-
-
-@contextmanager
-def no_compile_cache() -> Iterator[None]:
-    """Disable compile caching inside a ``with`` block (cold-path
-    measurements, cache-bypass debugging)."""
-    previous = set_active_cache(None)
-    try:
-        yield
-    finally:
-        set_active_cache(previous)
+#: The cache :func:`cached_compile` consults; ``None`` (``set_active_cache
+#: (None)`` or ``no_compile_cache()``) makes every call compile afresh.
+COMPILE_CACHE = Ambient(DEFAULT_CACHE, factory=CompileCache)
+get_active_cache = COMPILE_CACHE.get
+set_active_cache = COMPILE_CACHE.set
+use_compile_cache = COMPILE_CACHE.use
+no_compile_cache = COMPILE_CACHE.off
 
 
 def cached_compile(
@@ -329,7 +277,7 @@ def cached_compile(
     fallback) instead of ``compile_source`` -- the hook the ``Compiler``
     facade uses to route through its incremental pipeline session.
     """
-    cache = _active_cache
+    cache = COMPILE_CACHE.value
     if cache is None:
         if compute is not None:
             return compute()

@@ -35,11 +35,11 @@ the agent loop rather than the retry layer.
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Literal, Optional
 
 from ..errors import InjectedFault, LLMTimeoutError
+from .ambient import Ambient
 from .retry import guidance_key, messages_key
 
 if TYPE_CHECKING:
@@ -153,24 +153,9 @@ class FaultInjector:
 #: functions called from deep inside agents -- an ambient scope (the
 #: same idiom as the verdict cache) reaches them without threading an
 #: injector through every signature.
-_active_sim_injector: Optional[FaultInjector] = None
-
-
-def get_active_sim_injector() -> Optional[FaultInjector]:
-    """The injector the simulation harnesses should consult, if any."""
-    return _active_sim_injector
-
-
-@contextmanager
-def use_sim_chaos(injector: Optional[FaultInjector]):
-    """Scope ``injector`` as the ambient simulation-fault source."""
-    global _active_sim_injector
-    previous = _active_sim_injector
-    _active_sim_injector = injector
-    try:
-        yield injector
-    finally:
-        _active_sim_injector = previous
+SIM_INJECTOR = Ambient()
+get_active_sim_injector = SIM_INJECTOR.get
+use_sim_chaos = SIM_INJECTOR.use
 
 
 class ChaosRepairModel:

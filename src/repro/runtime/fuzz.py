@@ -539,11 +539,10 @@ def _sim_cache_check(design, injector) -> Optional[tuple[str, str]]:
     from ..errors import TransientError
     from ..sim.limits import FUZZ_SIM_LIMITS
     from ..sim.testbench import run_differential
-    from ..sim.verdict import VerdictCache, use_verdict_cache
+    from ..sim.verdict import use_verdict_cache
     from .faults import use_sim_chaos
 
-    sim_cache = VerdictCache()
-    with use_verdict_cache(sim_cache), use_sim_chaos(injector):
+    with use_verdict_cache() as sim_cache, use_sim_chaos(injector):
         try:
             first = run_differential(
                 design, design, samples=4, sim_limits=FUZZ_SIM_LIMITS

@@ -46,10 +46,10 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
+from ..runtime.ambient import Ambient
 from ..runtime.breaker import CircuitBreaker
 from ..runtime.limiter import TokenBucket
 from .deadline import Deadline
@@ -198,33 +198,12 @@ class ServiceStats:
         }
 
 
-#: The process-wide ambient stats ledger (None = no service active).
-_ACTIVE_STATS: Optional[ServiceStats] = None
-
-
-def get_active_service_stats() -> Optional[ServiceStats]:
-    """The ambient service-stats ledger, if a service scoped one."""
-    return _ACTIVE_STATS
-
-
-def set_active_service_stats(stats: Optional[ServiceStats]) -> Optional[ServiceStats]:
-    """Install ``stats`` ambiently; returns the previous ledger."""
-    global _ACTIVE_STATS
-    previous = _ACTIVE_STATS
-    _ACTIVE_STATS = stats
-    return previous
-
-
-@contextmanager
-def use_service_stats(stats: ServiceStats) -> Iterator[ServiceStats]:
-    """Scope ``stats`` as the ambient ledger (restores the previous one),
-    so ``run_full_report`` executed under a service surfaces a
-    ``report.service`` block the way ``report.llm`` works."""
-    previous = set_active_service_stats(stats)
-    try:
-        yield stats
-    finally:
-        set_active_service_stats(previous)
+#: The ambient stats ledger (None = no service active); a service scopes
+#: its ledger so ``run_full_report`` executed under it surfaces a
+#: ``report.service`` block the way ``report.llm`` works.
+SERVICE_STATS = Ambient()
+get_active_service_stats = SERVICE_STATS.get
+use_service_stats = SERVICE_STATS.use
 
 
 class _TenantState:

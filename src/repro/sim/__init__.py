@@ -42,7 +42,6 @@ from .sandbox import (
     classify_exception,
     get_active_sandbox_stats,
     run_sandboxed,
-    set_active_sandbox_stats,
     simulate,
     use_sandbox_stats,
 )
@@ -74,7 +73,6 @@ from .verdict import (
     VerdictStats,
     get_active_verdict_cache,
     no_verdict_cache,
-    set_active_verdict_cache,
     use_verdict_cache,
     verdict_key,
 )
@@ -129,8 +127,6 @@ __all__ = [
     "render_waveform",
     "run_differential",
     "run_sandboxed",
-    "set_active_sandbox_stats",
-    "set_active_verdict_cache",
     "set_default_sim_engine",
     "set_default_sim_limits",
     "simulate",

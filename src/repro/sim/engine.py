@@ -39,6 +39,7 @@ import os
 from typing import Optional
 
 from ..errors import SimLimitExceeded, SimulationError
+from ..runtime.ambient import Ambient
 from ..verilog.elaborate import ElabDesign
 from ..verilog.limits import ResourceLimits
 from .compile import LoweredDesign, lowered_for
@@ -336,24 +337,21 @@ def _edge_fired_fast(edge: str, old: tuple, new: tuple) -> bool:
 # Engine selection
 # ---------------------------------------------------------------------------
 
-_DEFAULT_ENGINE = "compiled"
-if os.environ.get("REPRO_SIM_ENGINE") in SIM_ENGINES:
-    _DEFAULT_ENGINE = os.environ["REPRO_SIM_ENGINE"]
-
-
-def get_default_sim_engine() -> str:
-    """The engine :func:`make_simulator` uses when none is requested."""
-    return _DEFAULT_ENGINE
-
-
-def set_default_sim_engine(engine: str) -> None:
-    """Set the process-wide default simulation engine."""
+def _check_engine(engine: str) -> None:
     if engine not in SIM_ENGINES:
         raise ValueError(
             f"unknown sim engine {engine!r}; expected one of {SIM_ENGINES}"
         )
-    global _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = engine
+
+
+#: The engine :func:`make_simulator` uses when none is requested
+#: (``REPRO_SIM_ENGINE`` when valid, else compiled).
+_env_engine = os.environ.get("REPRO_SIM_ENGINE", "compiled")
+SIM_ENGINE = Ambient(
+    _env_engine if _env_engine in SIM_ENGINES else "compiled", check=_check_engine
+)
+get_default_sim_engine = SIM_ENGINE.get
+set_default_sim_engine = SIM_ENGINE.set
 
 
 def make_simulator(
@@ -369,11 +367,8 @@ def make_simulator(
     so one flag switches the whole stack.  ``sim_limits``/``sim_tracker``
     configure the sandbox budgets (see :mod:`repro.sim.limits`); a
     shared tracker pools budgets across several simulators."""
-    chosen = engine if engine is not None else _DEFAULT_ENGINE
-    if chosen not in SIM_ENGINES:
-        raise ValueError(
-            f"unknown sim engine {chosen!r}; expected one of {SIM_ENGINES}"
-        )
+    chosen = engine if engine is not None else SIM_ENGINE.value
+    _check_engine(chosen)
     cls = CompiledSimulator if chosen == "compiled" else Simulator
     return cls(
         design, top=top, limits=limits,

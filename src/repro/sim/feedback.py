@@ -25,7 +25,7 @@ from .sandbox import SimVerdict, run_sandboxed
 from .testbench import CLOCK_NAMES, RESET_NAMES, _chaos_verdict, _random_vector
 from .trace import Trace, render_comparison
 from .values import Logic
-from .verdict import get_active_verdict_cache, verdict_key
+from .verdict import cached_verdict
 
 
 @dataclass
@@ -154,26 +154,14 @@ def make_sim_feedback(
             verdict=chaos,
         )
 
-    cache = get_active_verdict_cache()
-    key = None
-    if cache is not None:
-        key = verdict_key(
-            "feedback",
-            (getattr(candidate, "digest", None), getattr(reference, "digest", None)),
-            effective_engine,
-            limits,
-            samples, seed, max_shown, repr(effective_sim),
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-    feedback = _make_sim_feedback_uncached(
-        candidate, reference, samples, seed, max_shown,
-        effective_engine, limits, effective_sim,
+    return cached_verdict(
+        "feedback", candidate, reference, effective_engine, limits,
+        (samples, seed, max_shown, repr(effective_sim)),
+        lambda: _make_sim_feedback_uncached(
+            candidate, reference, samples, seed, max_shown,
+            effective_engine, limits, effective_sim,
+        ),
     )
-    if cache is not None and feedback.verdict is not None and feedback.verdict.cacheable:
-        cache.put(key, feedback)
-    return feedback
 
 
 def _make_sim_feedback_uncached(

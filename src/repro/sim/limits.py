@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterator, Optional
-
-from contextlib import contextmanager
+from typing import Callable, Optional
 
 from ..errors import SimLimitExceeded
+from ..runtime.ambient import Ambient
 
 
 @dataclass(frozen=True)
@@ -299,30 +298,13 @@ class BoundedDisplayLog(list):
 # Process-wide default (CLI --sim-limits / RTLFixerConfig.sim_limits)
 # ---------------------------------------------------------------------------
 
-_default_sim_limits: SimLimits = DEFAULT_SIM_LIMITS
-
-
-def get_default_sim_limits() -> SimLimits:
-    """The limits harnesses apply when none are passed explicitly."""
-    return _default_sim_limits
-
-
-def set_default_sim_limits(limits: SimLimits) -> SimLimits:
-    """Install ``limits`` as the process-wide default; returns the
-    previous default."""
+def _check_sim_limits(limits: SimLimits) -> None:
     if not isinstance(limits, SimLimits):
         raise ValueError("sim limits must be a SimLimits instance")
-    global _default_sim_limits
-    previous = _default_sim_limits
-    _default_sim_limits = limits
-    return previous
 
 
-@contextmanager
-def use_sim_limits(limits: SimLimits) -> Iterator[SimLimits]:
-    """Scope the default simulation limits to a ``with`` block."""
-    previous = set_default_sim_limits(limits)
-    try:
-        yield limits
-    finally:
-        set_default_sim_limits(previous)
+#: The limits harnesses apply when none are passed explicitly.
+SIM_LIMITS = Ambient(DEFAULT_SIM_LIMITS, check=_check_sim_limits)
+get_default_sim_limits = SIM_LIMITS.get
+set_default_sim_limits = SIM_LIMITS.set
+use_sim_limits = SIM_LIMITS.use

@@ -27,7 +27,7 @@ from .limits import (
 from .sandbox import SimVerdict, get_active_sandbox_stats, run_sandboxed
 from .simulator import Simulator
 from .values import Logic
-from .verdict import get_active_verdict_cache, verdict_key
+from .verdict import cached_verdict
 
 CLOCK_NAMES = ("clk", "clock")
 RESET_NAMES = ("reset", "rst", "areset", "arst", "resetn", "rst_n")
@@ -156,28 +156,14 @@ def run_differential(
         return TestbenchResult(
             passed=False, failure_reason=chaos.detail, verdict=chaos
         )
-
-    cache = get_active_verdict_cache()
-    key = None
-    if cache is not None:
-        key = verdict_key(
-            "diff",
-            (getattr(candidate, "digest", None), getattr(reference, "digest", None)),
-            effective_engine,
-            limits,
-            samples, seed, max_mismatches_recorded, repr(effective_sim),
-        )
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-
-    result = _run_differential_uncached(
-        candidate, reference, samples, seed, max_mismatches_recorded,
-        effective_engine, limits, effective_sim,
+    return cached_verdict(
+        "diff", candidate, reference, effective_engine, limits,
+        (samples, seed, max_mismatches_recorded, repr(effective_sim)),
+        lambda: _run_differential_uncached(
+            candidate, reference, samples, seed, max_mismatches_recorded,
+            effective_engine, limits, effective_sim,
+        ),
     )
-    if cache is not None and result.verdict is not None and result.verdict.cacheable:
-        cache.put(key, result)
-    return result
 
 
 def _run_differential_uncached(

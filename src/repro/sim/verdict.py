@@ -14,9 +14,10 @@ of the design contents and the stimulus parameters.
 :func:`repro.runtime.cache.cached_compile` memoizes compiles: keyed by
 the **design digests** stamped at elaboration (see
 :meth:`repro.diagnostics.engine.DiagnosticEngine.result`) plus every
-stimulus parameter, LRU-bounded, thread-safe, with hit/miss/eviction
-stats.  Designs without a digest (error-bearing or hand-built) are never
-cached -- lookups simply miss and the caller runs the simulation.
+stimulus parameter, held in an :class:`~repro.runtime.ambient.LRUStore`,
+with hit/miss/eviction stats.  Designs without a digest (error-bearing
+or hand-built) are never cached -- lookups simply miss and the caller
+runs the simulation.
 
 Chaos engineering stays transparent by construction: fault injection
 perturbs the *source text* before compilation
@@ -27,18 +28,13 @@ changes the preprocessed text, hence the digest, hence the verdict key
 
 from __future__ import annotations
 
-import hashlib
 import threading
-from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
+from ..runtime.ambient import DEFAULT_MAXSIZE, Ambient, LRUStore
 from ..verilog.limits import DEFAULT_LIMITS, ResourceLimits
-
-#: Default LRU bound; verdicts are small (a few mismatch tuples + trace
-#: lists) so the full working set of an experiment run stays resident.
-DEFAULT_MAXSIZE = 4096
+from ..verilog.pipeline import _digest
 
 
 def verdict_key(
@@ -63,11 +59,7 @@ def verdict_key(
     if any(d is None for d in digests):
         return None
     effective = limits if limits is not None else DEFAULT_LIMITS
-    hasher = hashlib.sha256()
-    for part in (kind, engine, repr(effective), *digests, *params):
-        hasher.update(str(part).encode())
-        hasher.update(b"\x00")
-    return hasher.hexdigest()
+    return _digest(kind, engine, repr(effective), *digests, *params)
 
 
 @dataclass
@@ -113,92 +105,71 @@ class VerdictCache:
     """
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE):
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = maxsize
+        self._store = LRUStore(maxsize)
         self.stats = VerdictStats()
-        self._entries: OrderedDict = OrderedDict()
+        #: Guards ``stats``.
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._store)
 
     def get(self, key: Optional[str]):
         """The cached verdict for ``key``, or ``None`` (counts stats)."""
         if key is None:
             self.stats.uncacheable += 1
             return None
+        cached = self._store.get(key)
         with self._lock:
-            cached = self._entries.get(key)
             if cached is not None:
-                self._entries.move_to_end(key)
                 self.stats.hits += 1
-                return cached
-            self.stats.misses += 1
-            return None
+            else:
+                self.stats.misses += 1
+        return cached
 
     def put(self, key: Optional[str], verdict) -> None:
         """Store ``verdict`` under ``key`` (no-op for uncacheable keys)."""
         if key is None or verdict is None:
             return
+        evicted = self._store.put(key, verdict)
         with self._lock:
-            self._entries[key] = verdict
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
+            self.stats.evictions += evicted
 
     def clear(self) -> None:
         """Drop all entries and reset the statistics."""
+        self._store.clear()
         with self._lock:
-            self._entries.clear()
             self.stats = VerdictStats()
+
+
+def cached_verdict(kind: str, candidate, reference, engine: str,
+                   limits: Optional[ResourceLimits], params: tuple, compute):
+    """``compute()``, memoized in the active :class:`VerdictCache` under
+    the :func:`verdict_key` of both designs' digests, ``engine``,
+    ``limits`` and the stimulus ``params``.  Only results whose
+    ``verdict`` is cacheable (genuine ``ok``/``fail``) are stored."""
+    cache = VERDICT_CACHE.value
+    if cache is None:
+        return compute()
+    key = verdict_key(
+        kind,
+        (getattr(candidate, "digest", None), getattr(reference, "digest", None)),
+        engine, limits, *params,
+    )
+    cached = cache.get(key)
+    if cached is not None:
+        return cached
+    result = compute()
+    if result.verdict is not None and result.verdict.cacheable:
+        cache.put(key, result)
+    return result
 
 
 #: The process-wide default cache, active from import time.
 DEFAULT_VERDICT_CACHE = VerdictCache()
 
-_active_cache: Optional[VerdictCache] = DEFAULT_VERDICT_CACHE
-_active_lock = threading.Lock()
-
-
-def get_active_verdict_cache() -> Optional[VerdictCache]:
-    """The cache the simulation harnesses currently consult (or None)."""
-    return _active_cache
-
-
-def set_active_verdict_cache(
-    cache: Optional[VerdictCache],
-) -> Optional[VerdictCache]:
-    """Install ``cache`` as the active verdict cache; returns the
-    previous one.  Pass ``None`` to disable verdict memoization."""
-    global _active_cache
-    with _active_lock:
-        previous = _active_cache
-        _active_cache = cache
-        return previous
-
-
-@contextmanager
-def use_verdict_cache(
-    cache: Optional[VerdictCache] = None, maxsize: int = DEFAULT_MAXSIZE
-) -> Iterator[VerdictCache]:
-    """Scope a verdict cache to a ``with`` block (fresh one by default);
-    the previously active cache is restored on exit."""
-    scoped = cache if cache is not None else VerdictCache(maxsize=maxsize)
-    previous = set_active_verdict_cache(scoped)
-    try:
-        yield scoped
-    finally:
-        set_active_verdict_cache(previous)
-
-
-@contextmanager
-def no_verdict_cache() -> Iterator[None]:
-    """Disable verdict memoization inside a ``with`` block (cold-path
-    measurements, differential engine comparisons)."""
-    previous = set_active_verdict_cache(None)
-    try:
-        yield
-    finally:
-        set_active_verdict_cache(previous)
+#: The cache the simulation harnesses consult; ``no_verdict_cache()``
+#: disables memoization (cold-path measurements, engine differentials).
+VERDICT_CACHE = Ambient(DEFAULT_VERDICT_CACHE, factory=VerdictCache)
+get_active_verdict_cache = VERDICT_CACHE.get
+use_verdict_cache = VERDICT_CACHE.use
+no_verdict_cache = VERDICT_CACHE.off

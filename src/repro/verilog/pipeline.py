@@ -59,14 +59,13 @@ import hashlib
 import sys
 import threading
 from bisect import bisect_right
-from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Optional, Protocol
 
 from ..diagnostics.codes import ErrorCategory
 from ..diagnostics.diagnostic import Diagnostic
 from ..diagnostics.engine import DiagnosticEngine
+from ..runtime.ambient import DEFAULT_MAXSIZE as DEFAULT_STAGE_MAXSIZE, Ambient, LRUStore
 from . import ast
 from .elaborate import elaborate
 from .lexer import Lexer
@@ -78,10 +77,6 @@ from .tokens import Token, TokenKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..diagnostics.compiler import CompileResult
-
-#: Default LRU bound of a :class:`StageCache` (artifacts are small:
-#: token tuples, per-module ASTs, diagnostic tuples).
-DEFAULT_STAGE_MAXSIZE = 4096
 
 #: How many characters past a token's end the lexer may have peeked
 #: while producing it.  The master regex peeks at most 2: a plain
@@ -209,33 +204,26 @@ class StageCache:
     """
 
     def __init__(self, maxsize: int = DEFAULT_STAGE_MAXSIZE):
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = maxsize
+        self._store = LRUStore(maxsize)
         self.stats = PipelineStats()
-        self._entries: "OrderedDict[tuple[str, str], Artifact]" = OrderedDict()
+        #: Guards ``stats``.
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._store)
 
     def get(self, stage: str, key: str) -> Optional[Artifact]:
         """The cached artifact for ``stage``/``key``, or None (counted)."""
+        artifact = self._store.get((stage, key))
         with self._lock:
-            artifact = self._entries.get((stage, key))
-            if artifact is not None:
-                self._entries.move_to_end((stage, key))
             self.stats.note(stage, hit=artifact is not None)
-            return artifact
+        return artifact
 
     def put(self, artifact: Artifact) -> None:
         """Store ``artifact`` under its stage and key (LRU-evicting)."""
+        evicted = self._store.put((artifact.stage, artifact.key), artifact)
         with self._lock:
-            self._entries[(artifact.stage, artifact.key)] = artifact
-            self._entries.move_to_end((artifact.stage, artifact.key))
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
+            self.stats.evictions += evicted
 
     def note_compile(self, timings: dict) -> None:
         """Fold one pipeline compile's per-stage wall times into stats."""
@@ -248,8 +236,8 @@ class StageCache:
 
     def clear(self) -> None:
         """Drop all artifacts and reset the statistics."""
+        self._store.clear()
         with self._lock:
-            self._entries.clear()
             self.stats = PipelineStats()
 
 
@@ -257,48 +245,13 @@ class StageCache:
 #: same always-on posture as the whole-result compile cache).
 DEFAULT_STAGE_CACHE = StageCache()
 
-_active_stage_cache: Optional[StageCache] = DEFAULT_STAGE_CACHE
-_active_stage_lock = threading.Lock()
-
-
-def get_active_stage_cache() -> Optional[StageCache]:
-    """The stage cache sessions currently consult (or None)."""
-    return _active_stage_cache
-
-
-def set_active_stage_cache(cache: Optional[StageCache]) -> Optional[StageCache]:
-    """Install ``cache`` as the active stage cache; returns the previous
-    one.  Pass ``None`` to disable stage-artifact caching entirely."""
-    global _active_stage_cache
-    with _active_stage_lock:
-        previous = _active_stage_cache
-        _active_stage_cache = cache
-        return previous
-
-
-@contextmanager
-def use_stage_cache(
-    cache: Optional[StageCache] = None, maxsize: int = DEFAULT_STAGE_MAXSIZE
-) -> Iterator[StageCache]:
-    """Scope a stage cache to a ``with`` block (fresh one by default);
-    the previously active cache is restored on exit."""
-    scoped = cache if cache is not None else StageCache(maxsize=maxsize)
-    previous = set_active_stage_cache(scoped)
-    try:
-        yield scoped
-    finally:
-        set_active_stage_cache(previous)
-
-
-@contextmanager
-def no_stage_cache() -> Iterator[None]:
-    """Disable stage-artifact caching inside a ``with`` block (cold-path
-    measurements, differential testing)."""
-    previous = set_active_stage_cache(None)
-    try:
-        yield
-    finally:
-        set_active_stage_cache(previous)
+#: The stage cache sessions consult; ``no_stage_cache()`` disables
+#: artifact caching (cold-path measurements, differential testing).
+STAGE_CACHE = Ambient(DEFAULT_STAGE_CACHE, factory=StageCache)
+get_active_stage_cache = STAGE_CACHE.get
+set_active_stage_cache = STAGE_CACHE.set
+use_stage_cache = STAGE_CACHE.use
+no_stage_cache = STAGE_CACHE.off
 
 
 @dataclass

@@ -18,6 +18,7 @@ from repro.runtime import (
     RetryPolicy,
     no_compile_cache,
 )
+from repro.sim.verdict import VerdictCache
 from repro.verilog import ResourceLimits, SourceFile, tokenize
 from repro.verilog.pipeline import (
     _LEX_LOOKAHEAD,
@@ -175,15 +176,33 @@ class TestIncrementalReuse:
             assert cache.stats.segments_reused > before
 
 
+#: The put/get-style caches on the shared LRU store: constructor,
+#: ``put(cache, key, value)`` and ``get(cache, key) -> value or None``.
+LRU_CACHES = {
+    "StageCache": (
+        StageCache,
+        lambda cache, key, value: cache.put(Artifact("lex", key, value)),
+        lambda cache, key: getattr(cache.get("lex", key), "payload", None),
+    ),
+    "VerdictCache": (
+        VerdictCache,
+        lambda cache, key, value: cache.put(key, value),
+        lambda cache, key: cache.get(key),
+    ),
+}
+
+
 class TestStageCache:
-    def test_lru_eviction(self):
-        cache = StageCache(maxsize=2)
+    @pytest.mark.parametrize("kind", sorted(LRU_CACHES))
+    def test_lru_eviction(self, kind):
+        make, put, get = LRU_CACHES[kind]
+        cache = make(maxsize=2)
         for i in range(3):
-            cache.put(Artifact("lex", f"k{i}", (i,)))
+            put(cache, f"k{i}", (i,))
         assert len(cache) == 2
         assert cache.stats.evictions == 1
-        assert cache.get("lex", "k0") is None  # oldest evicted
-        assert cache.get("lex", "k2").payload == (2,)
+        assert get(cache, "k0") is None  # oldest evicted
+        assert get(cache, "k2") == (2,)
 
     def test_get_counts_hits_and_misses(self):
         cache = StageCache()
@@ -194,9 +213,10 @@ class TestStageCache:
         assert cache.stats.misses == {"parse": 1}
         assert cache.stats.hit_rate == 0.5
 
-    def test_maxsize_validated(self):
+    @pytest.mark.parametrize("kind", sorted(LRU_CACHES))
+    def test_maxsize_validated(self, kind):
         with pytest.raises(ValueError):
-            StageCache(maxsize=0)
+            LRU_CACHES[kind][0](maxsize=0)
 
     def test_scoping_restores_previous_cache(self):
         outer = get_active_stage_cache()
