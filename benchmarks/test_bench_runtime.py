@@ -756,15 +756,17 @@ def test_repair_engine_workload(benchmark):
     from repro.dataset.problem import ProblemSet
     from repro.diagnostics import Compiler
     from repro.eval.experiments import run_table4
-    from repro.repair import TraceDiffLocalizer
+    from repro.repair import SimOracle, TraceDiffLocalizer
 
     problems = ProblemSet("bench-repair", list(CORPUS)[:12])
 
     with use_compile_cache(CompileCache()):
-        # Localization latency, measured on a fresh localizer per
-        # mutant so memoization cannot flatter the number.
+        # Localization latency: the oracle check that produces the trace
+        # diff plus the ranking, in a fresh verdict cache so memoization
+        # cannot flatter the number.
         localizations = 0
         t_localize = 0.0
+        localizer = TraceDiffLocalizer()
         for problem in problems:
             rng = _random.Random(f"bench-repair|{problem.id}")
             buggy = mutate_logic(problem.reference, rng)
@@ -772,12 +774,13 @@ def test_repair_engine_workload(benchmark):
                 buggy = force_behavior_change(problem.reference)
                 if buggy is None:
                     continue
-            compiler = Compiler()
-            reference = compiler.compile(problem.reference).elaborated
-            if reference is None:
+            oracle = SimOracle(problem.reference, compiler=Compiler())
+            if oracle.reference is None:
                 continue
-            localizer = TraceDiffLocalizer(reference, compiler=compiler)
-            _, elapsed = _timed(lambda: localizer.localize(buggy))
+            with use_verdict_cache():
+                _, elapsed = _timed(
+                    lambda: localizer.localize(buggy, oracle.check(buggy))
+                )
             localizations += 1
             t_localize += elapsed
 

@@ -906,7 +906,7 @@ def _table4_problem_rows(
         loc_hit: Optional[bool] = None
         buggy_lines = buggy.split("\n")
         golden_lines = problem.reference.split("\n")
-        if len(buggy_lines) == len(golden_lines) and engine.localizer is not None:
+        if len(buggy_lines) == len(golden_lines):
             mutated_lines = {
                 index
                 for index, (got, want) in enumerate(
@@ -914,7 +914,9 @@ def _table4_problem_rows(
                 )
                 if got != want
             }
-            suspects = engine.localizer.localize(buggy).suspect_lines
+            suspects = engine.localizer.localize(
+                buggy, engine.oracle.check(buggy)
+            ).suspect_lines
             if suspects and mutated_lines:
                 loc_hit = bool(mutated_lines & set(suspects))
         outcome = engine.run(buggy)

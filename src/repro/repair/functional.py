@@ -12,7 +12,6 @@ transcripts stay bit-identical to the pre-refactor loop.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
 
 from ..diagnostics import Compiler
 from .base import EngineConfig, RepairOutcome
@@ -22,9 +21,12 @@ from .oracles import SimOracle
 from .proposers import FallbackProposer, LogicModelProposer
 from .templates import TemplateProposer
 
-#: The functional workload's engine knobs: Simulator action, 2-line
-#: action input, hill-climbing acceptance, keep going while any
-#: proposer in the chain has candidates, give-up turn on exhaustion.
+#: The simulation flavor of the engine loop, shared by the Table-4
+#: workload and :class:`~repro.agents.simfix.SimDebugAgent`: Simulator
+#: action, 2-line action input, improving-only (hill-climbing)
+#: acceptance, no Finish turns on success, an explicit give-up turn on
+#: exhaustion, and the loop keeps consulting the proposer after a
+#: declared-done step that changed the code.
 FUNCTIONAL_CONFIG = EngineConfig(
     action="Simulator",
     head_lines=2,
@@ -37,7 +39,7 @@ FUNCTIONAL_CONFIG = EngineConfig(
 )
 
 
-def _default_logic_model():
+def default_logic_model():
     """Direct simulated debugger, or the pool-routed variant when an
     ambient :func:`~repro.llm.pool.get_default_llm_routing` spec is in
     scope (tier escalation + token accounting for the workload)."""
@@ -57,31 +59,22 @@ def build_functional_engine(
     max_iterations: int = 24,
     sim_samples: int = 16,
     sim_limits=None,
-    max_template_candidates: int = 64,
-    localize: bool = True,
     on_turn=None,
 ) -> RepairEngine:
     """Assemble the Table-4 engine for one golden reference."""
-    compiler = Compiler()
     oracle = SimOracle(
-        reference_code, compiler=compiler, samples=sim_samples,
+        reference_code, compiler=Compiler(), samples=sim_samples,
         sim_limits=sim_limits,
     )
     if model is None:
-        model = _default_logic_model()
-    localizer: Optional[TraceDiffLocalizer] = None
-    if localize and oracle.reference is not None:
-        localizer = TraceDiffLocalizer(
-            oracle.reference, compiler=compiler, samples=sim_samples,
-            sim_limits=sim_limits,
-        )
+        model = default_logic_model()
     proposer = FallbackProposer(
-        TemplateProposer(max_candidates=max_template_candidates),
-        LogicModelProposer(model, difficulty),
+        TemplateProposer(), LogicModelProposer(model, difficulty)
     )
     config = replace(FUNCTIONAL_CONFIG, max_iterations=max_iterations)
     return RepairEngine(
-        oracle, proposer, localizer=localizer, config=config, on_turn=on_turn,
+        oracle, proposer, localizer=TraceDiffLocalizer(), config=config,
+        on_turn=on_turn,
     )
 
 

@@ -4,10 +4,11 @@
   human expert guidance for the compiler log (paper §3.3) and surface
   it as a transcript turn.
 * :class:`TraceDiffLocalizer` -- rtl-repair-style functional fault
-  localization: simulate candidate and golden side by side, rank output
-  signals by how many samples mismatch (earliest divergence breaks
-  ties), then map each suspect signal to source lines -- its driver
-  statements first, one hop of fan-in next, remaining mentions last.
+  localization: read the simulation oracle's per-signal trace diff of
+  candidate against golden, rank output signals by how many samples
+  mismatch (earliest divergence breaks ties), then map each suspect
+  signal to source lines -- its driver statements first, one hop of
+  fan-in next, remaining mentions last.
   The template proposer searches suspect lines before the rest of the
   file.
 """
@@ -17,11 +18,8 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from ..diagnostics import Compiler
 from ..rag.retrievers import Retriever
-from ..sim.engine import get_default_sim_engine
-from ..sim.feedback import simulate_with_traces
-from ..sim.sandbox import run_sandboxed
+from ..sim.feedback import SimFeedback
 from .base import Localization, OracleVerdict, Suspect
 
 
@@ -92,81 +90,31 @@ def suspect_lines(code: str, signal: str) -> list[int]:
 
 
 class TraceDiffLocalizer:
-    """Rank suspect signals/lines from a candidate-vs-golden trace diff.
+    """Rank suspect signals/lines from the oracle's trace diff.
 
-    ``reference`` is the golden :class:`~repro.verilog.elaborate.ElabDesign`.
-    Localizations are memoized per candidate source (the engine
-    re-localizes the current best every iteration, which only changes
-    when a candidate is accepted), and the differential simulation runs
-    inside the crash-proof sandbox -- a blow-up localizes to nothing
-    rather than raising.
+    Reads the per-signal diff that a :class:`~repro.repair.oracles.SimOracle`
+    verdict carries (:attr:`~repro.sim.feedback.SimFeedback.diff`); it
+    compiles and simulates nothing itself.  A candidate the oracle could
+    not simulate -- it did not compile, hit a budget or crashed --
+    localizes to nothing.
     """
 
-    def __init__(
-        self,
-        reference,
-        compiler: Optional[Compiler] = None,
-        samples: int = 16,
-        seed: int = 0,
-        sim_limits=None,
-        max_suspects: int = 8,
-    ):
-        self.reference = reference
-        self.compiler = compiler or Compiler()
-        self.samples = samples
-        self.seed = seed
-        self.sim_limits = sim_limits
+    def __init__(self, max_suspects: int = 8):
         self.max_suspects = max_suspects
-        self._memo: dict[str, Localization] = {}
 
-    def localize(self, code: str, verdict: Optional[OracleVerdict] = None) -> Localization:
-        found = self._memo.get(code)
-        if found is None:
-            found = self._localize(code)
-            self._memo[code] = found
-        return found
-
-    def _localize(self, code: str) -> Localization:
-        if self.reference is None:
+    def localize(self, code: str, verdict: OracleVerdict) -> Localization:
+        feedback = verdict.detail
+        if not isinstance(feedback, SimFeedback):
             return Localization()
-        compiled = self.compiler.compile(code)
-        if not compiled.ok or compiled.elaborated is None:
-            return Localization()
-        engine = get_default_sim_engine()
-        traces, sim_verdict = run_sandboxed(
-            lambda: simulate_with_traces(
-                compiled.elaborated, self.reference, samples=self.samples,
-                seed=self.seed, sim_limits=self.sim_limits,
-            ),
-            engine,
-        )
-        if sim_verdict is not None:
-            return Localization()
-        cand_trace, ref_trace = traces
-
-        ranked: list[tuple[str, int, int]] = []
-        for name in ref_trace.signals:
-            mismatches = 0
-            first = ref_trace.length
-            for index in range(ref_trace.length):
-                expected = ref_trace.value_at(name, index)
-                actual = cand_trace.value_at(name, index)
-                same = (
-                    expected is not None and actual is not None
-                    and expected.same_as(actual)
-                )
-                if not same:
-                    mismatches += 1
-                    first = min(first, index)
-            if mismatches:
-                ranked.append((name, mismatches, first))
         # Most mismatches first; earlier first divergence breaks ties
         # (the signal that goes wrong first is closest to the fault).
-        ranked.sort(key=lambda item: (-item[1], item[2], item[0]))
-
+        ranked = sorted(
+            ((d.signal, d.mismatches, d.first) for d in feedback.diff if d.mismatches),
+            key=lambda item: (-item[1], item[2], item[0]),
+        )
         suspects: list[Suspect] = []
         seen_lines: set[int] = set()
-        total = max(ref_trace.length, 1)
+        total = max(feedback.compared, 1)
         for name, mismatches, first in ranked[: self.max_suspects]:
             reason = (
                 f"{mismatches}/{total} samples mismatch, "

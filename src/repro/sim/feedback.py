@@ -1,30 +1,25 @@
 """Simulation-error feedback generation (paper §5).
 
-Runs the differential testbench while tracing outputs, then formats the
-result the way the paper describes: a summary of the output error count
-plus a text-formatted waveform-like comparison of the erroneous module's
-outputs against the golden solution's.
+Runs the differential testbench's lockstep driver while tracing
+outputs, then formats the result the way the paper describes: a summary
+of the output error count plus a text-formatted waveform-like comparison
+of the erroneous module's outputs against the golden solution's.  The
+per-signal trace diff behind the count stays on the feedback, where the
+trace-diff localizer reads it.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 
 from ..verilog.elaborate import ElabDesign
 from ..verilog.limits import ResourceLimits
-from .engine import get_default_sim_engine, make_simulator
-from .limits import (
-    UNTRACKED,
-    SimLimits,
-    SimLimitTracker,
-    get_default_sim_limits,
-)
+from .engine import get_default_sim_engine
+from .limits import SimLimits, get_default_sim_limits
 from .sandbox import SimVerdict, run_sandboxed
-from .testbench import CLOCK_NAMES, RESET_NAMES, _chaos_verdict, _random_vector
-from .trace import Trace, render_comparison
-from .values import Logic
+from .testbench import _chaos_verdict, _Lockstep
+from .trace import SignalDiff, Trace, diff_traces, render_comparison
 from .verdict import cached_verdict
 
 
@@ -39,6 +34,13 @@ class SimFeedback:
     #: feedback is still feedback (the agent sees the reason as text) but
     #: is never memoized.
     verdict: Optional[SimVerdict] = None
+    #: Per output signal: mismatching samples and first divergence
+    #: (empty when the run produced no traces).  Memoized with the rest
+    #: of the feedback, so the trace-diff localizer reads it for free.
+    diff: tuple[SignalDiff, ...] = ()
+    #: Stimulus samples compared (the trace length; reset samples are
+    #: never compared).
+    compared: int = 0
 
     @property
     def passed(self) -> bool:
@@ -53,69 +55,30 @@ def simulate_with_traces(
     engine: Optional[str] = None,
     limits: Optional[ResourceLimits] = None,
     sim_limits: Optional[SimLimits] = None,
-    sim_tracker: Optional[SimLimitTracker] = None,
 ) -> tuple[Trace, Trace]:
     """Run both designs on identical stimulus, tracing every output.
 
-    Both simulators and both traces share one
-    :class:`~repro.sim.limits.SimLimitTracker` budget pool (pass
-    ``sim_tracker`` to supply it), so trace bombs are stopped by the
-    trace-entry/byte budgets rather than by memory exhaustion.
+    A recording view over the testbench's lockstep driver: both
+    simulators and both traces share one
+    :class:`~repro.sim.limits.SimLimitTracker` budget pool, so trace
+    bombs are stopped by the trace-entry/byte budgets rather than by
+    memory exhaustion.
     """
     effective_sim = sim_limits if sim_limits is not None else get_default_sim_limits()
-    tracker = sim_tracker
-    if tracker is None and effective_sim is not UNTRACKED:
-        tracker = SimLimitTracker(effective_sim)
-    cand_sim = make_simulator(
-        candidate, engine=engine, limits=limits,
-        sim_limits=effective_sim, sim_tracker=tracker,
-    )
-    ref_sim = make_simulator(
-        reference, engine=engine, limits=limits,
-        sim_limits=effective_sim, sim_tracker=tracker,
-    )
-    rng = random.Random(seed)
+    pair = _Lockstep(candidate, reference, engine, limits, effective_sim)
+    tracker = pair.tracker
+    cand_trace = Trace(signals=list(pair.outputs), tracker=tracker)
+    ref_trace = Trace(signals=list(pair.outputs), tracker=tracker)
 
-    # Lazy: the service package sits above the sim package.
-    from ..service.deadline import current_deadline
+    def record(sample: int) -> None:
+        if tracker is not None:
+            tracker.phase = "trace"
+        cand_trace.record(pair.cand)
+        ref_trace.record(pair.ref)
+        if tracker is not None:
+            tracker.phase = "cycle"
 
-    deadline = current_deadline()
-
-    inputs = ref_sim.inputs
-    clock = next((p.name for p in inputs if p.name in CLOCK_NAMES), None)
-    resets = [p.name for p in inputs if p.name in RESET_NAMES]
-    data = [p for p in inputs if p.name != clock and p.name not in resets]
-    outputs = [p.name for p in ref_sim.outputs]
-
-    cand_trace = Trace(signals=list(outputs), tracker=tracker)
-    ref_trace = Trace(signals=list(outputs), tracker=tracker)
-
-    for cycle in range(samples):
-        if deadline is not None:
-            deadline.check(stage="sim-cycle")
-        stimulus: dict[str, Logic | int] = {}
-        in_reset = bool(resets) and cycle < 2
-        for name in resets:
-            active = 1 if not name.endswith("n") else 0
-            stimulus[name] = active if in_reset else active ^ 1
-        for port in data:
-            stimulus[port.name] = _random_vector(rng, port.width)
-        if clock is None:
-            cand_sim.step(dict(stimulus))
-            ref_sim.step(dict(stimulus))
-        else:
-            stimulus[clock] = 0
-            cand_sim.step(dict(stimulus))
-            ref_sim.step(dict(stimulus))
-            cand_sim.step({clock: 1})
-            ref_sim.step({clock: 1})
-        if not in_reset:
-            if tracker is not None:
-                tracker.phase = "trace"
-            cand_trace.record(cand_sim)
-            ref_trace.record(ref_sim)
-            if tracker is not None:
-                tracker.phase = "cycle"
+    pair.run(samples, seed, record)
     return cand_trace, ref_trace
 
 
@@ -188,28 +151,24 @@ def _make_sim_feedback_uncached(
             verdict=verdict,
         )
     cand_trace, ref_trace = traces
-
-    mismatches = 0
-    for name in ref_trace.signals:
-        for i in range(ref_trace.length):
-            exp = ref_trace.value_at(name, i)
-            act = cand_trace.value_at(name, i)
-            if exp is None or act is None or not exp.same_as(act):
-                mismatches += 1
-
+    diff = diff_traces(cand_trace, ref_trace)
+    mismatches = sum(signal.mismatches for signal in diff)
+    total = ref_trace.length * max(len(ref_trace.signals), 1)
     comparison = render_comparison(
         cand_trace, ref_trace, max_samples=max_shown
     )
     text = (
         f"Simulation produced {mismatches} mismatching output sample(s) "
-        f"out of {ref_trace.length * max(len(ref_trace.signals), 1)}.\n"
+        f"out of {total}.\n"
         f"{comparison}"
     )
     return SimFeedback(
         mismatch_count=mismatches,
-        samples=ref_trace.length * max(len(ref_trace.signals), 1),
+        samples=total,
         text=text,
         verdict=SimVerdict(
             category="ok" if mismatches == 0 else "fail", engine=engine
         ),
+        diff=diff,
+        compared=ref_trace.length,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from ..errors import TransientError
 from ..verilog.elaborate import ElabDesign
@@ -25,7 +25,6 @@ from .limits import (
     get_default_sim_limits,
 )
 from .sandbox import SimVerdict, get_active_sandbox_stats, run_sandboxed
-from .simulator import Simulator
 from .values import Logic
 from .verdict import cached_verdict
 
@@ -187,45 +186,13 @@ def _run_differential_uncached(
             ),
         )
 
-    # Lazy: the service package sits above the sim package.
-    from ..service.deadline import current_deadline
-
-    deadline = current_deadline()
-    # One budget pool for the whole harness invocation: candidate and
-    # reference share a tracker, so the pair cannot take more than one
-    # run's worth of resources between them.
-    tracker = None if sim_limits is UNTRACKED else SimLimitTracker(sim_limits)
-
     def body() -> TestbenchResult:
-        cand_sim = make_simulator(
-            candidate, engine=engine, limits=limits,
-            sim_limits=sim_limits, sim_tracker=tracker,
-        )
-        ref_sim = make_simulator(
-            reference, engine=engine, limits=limits,
-            sim_limits=sim_limits, sim_tracker=tracker,
-        )
-
-        rng = random.Random(seed)
-        ref_inputs = ref_sim.inputs
-        clock = next((p.name for p in ref_inputs if p.name in CLOCK_NAMES), None)
-        resets = [p.name for p in ref_inputs if p.name in RESET_NAMES]
-        data_inputs = [
-            p for p in ref_inputs if p.name != clock and p.name not in resets
-        ]
-        outputs = [p.name for p in ref_sim.outputs]
-
+        pair = _Lockstep(candidate, reference, engine, limits, sim_limits)
         result = TestbenchResult(passed=True)
-        if clock is None:
-            _run_combinational(
-                cand_sim, ref_sim, data_inputs, resets, outputs,
-                samples, rng, result, max_mismatches_recorded, deadline,
-            )
-        else:
-            _run_sequential(
-                cand_sim, ref_sim, clock, data_inputs, resets, outputs,
-                samples, rng, result, max_mismatches_recorded, deadline,
-            )
+        pair.run(
+            samples, seed,
+            lambda sample: _compare(pair, sample, result, max_mismatches_recorded),
+        )
         return result
 
     result, verdict = run_sandboxed(body, engine)
@@ -251,18 +218,92 @@ def _random_vector(rng: random.Random, width: int) -> int:
     return rng.getrandbits(width)
 
 
+class _Lockstep:
+    """The one lockstep driver every differential harness runs on.
+
+    Builds the candidate and reference simulators on one
+    :class:`~repro.sim.limits.SimLimitTracker` and discovers the clock,
+    reset and data ports from the reference; :meth:`run` drives both
+    with the same seeded stimulus.  The harnesses are views over it:
+    :func:`run_differential` compares each sample,
+    :func:`~repro.sim.feedback.simulate_with_traces` records it.
+    """
+
+    def __init__(
+        self,
+        candidate: ElabDesign,
+        reference: ElabDesign,
+        engine: Optional[str],
+        limits: Optional[ResourceLimits],
+        sim_limits: SimLimits,
+    ):
+        # One budget pool for the whole harness invocation: candidate and
+        # reference share a tracker, so the pair cannot take more than one
+        # run's worth of resources between them.
+        self.tracker = (
+            None if sim_limits is UNTRACKED else SimLimitTracker(sim_limits)
+        )
+        self.cand = make_simulator(
+            candidate, engine=engine, limits=limits,
+            sim_limits=sim_limits, sim_tracker=self.tracker,
+        )
+        self.ref = make_simulator(
+            reference, engine=engine, limits=limits,
+            sim_limits=sim_limits, sim_tracker=self.tracker,
+        )
+        inputs = self.ref.inputs
+        self.clock = next((p.name for p in inputs if p.name in CLOCK_NAMES), None)
+        self.resets = [p.name for p in inputs if p.name in RESET_NAMES]
+        self.data = [
+            p for p in inputs if p.name != self.clock and p.name not in self.resets
+        ]
+        self.outputs = [p.name for p in self.ref.outputs]
+
+    def run(self, samples: int, seed: int, on_sample: Callable[[int], None]) -> None:
+        """Drive ``samples`` random vectors (combinational) or clock
+        cycles (sequential) and hand each compared sample's index to
+        ``on_sample`` once both designs have been stepped.
+
+        Stimulus keys go resets, data, clock.  When the reference has
+        reset inputs, the first two samples hold them asserted and are
+        not compared.  The ambient service deadline is checked before
+        every sample (stage ``sim-cycle``).
+        """
+        # Lazy: the service package sits above the sim package.
+        from ..service.deadline import current_deadline
+
+        deadline = current_deadline()
+        rng = random.Random(seed)
+        cand, ref, clock = self.cand, self.ref, self.clock
+        reset_samples = 2 if self.resets else 0
+        for sample in range(samples):
+            if deadline is not None:
+                deadline.check(stage="sim-cycle")
+            in_reset = sample < reset_samples
+            stimulus: dict[str, Logic | int] = {}
+            for name in self.resets:
+                active = 1 if not name.endswith("n") else 0
+                stimulus[name] = active if in_reset else active ^ 1
+            for port in self.data:
+                stimulus[port.name] = _random_vector(rng, port.width)
+            if clock is not None:
+                stimulus[clock] = 0
+            cand.step(dict(stimulus))
+            ref.step(dict(stimulus))
+            if clock is not None:
+                cand.step({clock: 1})
+                ref.step({clock: 1})
+            if not in_reset:
+                on_sample(sample)
+
+
 def _compare(
-    cand_sim: Simulator,
-    ref_sim: Simulator,
-    outputs: list[str],
-    sample: int,
-    result: TestbenchResult,
-    limit: int,
+    pair: _Lockstep, sample: int, result: TestbenchResult, limit: int
 ) -> None:
     result.samples += 1
-    for name in outputs:
-        expected = ref_sim.get(name)
-        actual = cand_sim.get(name)
+    for name in pair.outputs:
+        expected = pair.ref.get(name)
+        actual = pair.cand.get(name)
         if not expected.same_as(actual):
             result.mismatch_count += 1
             if len(result.mismatches) < limit:
@@ -273,44 +314,3 @@ def _compare(
                     )
                 )
             break  # one mismatch per sample is enough
-
-
-def _run_combinational(
-    cand_sim, ref_sim, data_inputs, resets, outputs,
-    samples, rng, result, limit, deadline=None,
-) -> None:
-    for sample in range(samples):
-        if deadline is not None:
-            deadline.check(stage="sim-cycle")
-        stimulus: dict[str, Logic | int] = {}
-        for port in data_inputs:
-            stimulus[port.name] = _random_vector(rng, port.width)
-        for name in resets:
-            stimulus[name] = 0 if not name.endswith("n") else 1
-        cand_sim.step(dict(stimulus))
-        ref_sim.step(dict(stimulus))
-        _compare(cand_sim, ref_sim, outputs, sample, result, limit)
-
-
-def _run_sequential(
-    cand_sim, ref_sim, clock, data_inputs, resets, outputs,
-    samples, rng, result, limit, deadline=None,
-) -> None:
-    reset_cycles = 2 if resets else 0
-    for cycle in range(samples):
-        if deadline is not None:
-            deadline.check(stage="sim-cycle")
-        stimulus: dict[str, Logic | int] = {}
-        in_reset = cycle < reset_cycles
-        for name in resets:
-            active = 1 if not name.endswith("n") else 0
-            stimulus[name] = active if in_reset else active ^ 1
-        for port in data_inputs:
-            stimulus[port.name] = _random_vector(rng, port.width)
-        stimulus[clock] = 0
-        cand_sim.step(dict(stimulus))
-        ref_sim.step(dict(stimulus))
-        cand_sim.step({clock: 1})
-        ref_sim.step({clock: 1})
-        if not in_reset:
-            _compare(cand_sim, ref_sim, outputs, cycle, result, limit)

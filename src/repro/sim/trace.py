@@ -63,6 +63,34 @@ class Trace:
         return None
 
 
+@dataclass(frozen=True)
+class SignalDiff:
+    """How one traced signal diverges from the golden trace."""
+
+    signal: str
+    mismatches: int
+    #: Index of the first mismatching sample (the trace length if none).
+    first: int
+
+
+def diff_traces(actual: Trace, expected: Trace) -> tuple[SignalDiff, ...]:
+    """One :class:`SignalDiff` per expected signal, in trace order; a
+    sample missing from either trace counts as a mismatch."""
+    length = expected.length
+    diffs = []
+    for name in expected.signals:
+        mismatches = 0
+        first = length
+        for index in range(length):
+            exp = expected.value_at(name, index)
+            act = actual.value_at(name, index)
+            if exp is None or act is None or not exp.same_as(act):
+                mismatches += 1
+                first = min(first, index)
+        diffs.append(SignalDiff(name, mismatches, first))
+    return tuple(diffs)
+
+
 def _cell(value: Logic | None) -> str:
     if value is None:
         return "-"

@@ -49,7 +49,7 @@ def verdict_key(
 
     ``kind`` namespaces the harness ("diff" for
     :func:`~repro.sim.testbench.run_differential`, "feedback" for
-    :func:`~repro.sim.feedback.simulate_with_traces`); ``digests`` are
+    :func:`~repro.sim.feedback.make_sim_feedback`); ``digests`` are
     the content digests of every design involved; ``engine`` and the
     effective resource limits participate because both can change the
     verdict (a compiled-only bug would otherwise poison interp results,
@@ -100,8 +100,9 @@ class VerdictCache:
     """LRU-bounded, thread-safe memo of simulation verdicts.
 
     Values are treated as immutable by every consumer
-    (:class:`~repro.sim.testbench.TestbenchResult` and the feedback
-    trace tuples are never mutated after construction).
+    (:class:`~repro.sim.testbench.TestbenchResult` and
+    :class:`~repro.sim.feedback.SimFeedback` are never mutated after
+    construction).
     """
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE):

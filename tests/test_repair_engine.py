@@ -8,7 +8,9 @@ workload's determinism, and the pooled logic model's identity and
 accounting.
 """
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.rag import ExactTagRetriever, build_default_database
 from repro.repair import (
     TEMPLATES,
     RepairEngine,
+    SimOracle,
     TemplateProposer,
     TraceDiffLocalizer,
     repair_functional,
@@ -51,6 +54,7 @@ from repro.runtime import (
 from repro.service import Deadline, use_deadline
 
 DB = build_default_database()
+TABLE4_DIGESTS = Path(__file__).parent / "data" / "table4_digests.json"
 
 
 def _react_pair(flavor, rag, seed):
@@ -136,41 +140,30 @@ REF_TWO_OUT = (
 BUGGY_TWO_OUT = REF_TWO_OUT.replace("x = a & b", "x = a | b")
 
 
+def _localize(code: str):
+    """Localize ``code`` against REF_TWO_OUT from the oracle's verdict."""
+    verdict = SimOracle(REF_TWO_OUT).check(code)
+    return TraceDiffLocalizer().localize(code, verdict)
+
+
 class TestTraceDiffLocalizer:
     def test_ranks_faulty_signal_first(self):
-        loc = TraceDiffLocalizer(
-            Compiler().compile(REF_TWO_OUT).elaborated
-        ).localize(BUGGY_TWO_OUT)
+        loc = _localize(BUGGY_TWO_OUT)
         assert loc.suspects, "mismatching design must yield suspects"
         assert loc.suspects[0].signal == "x"
         assert loc.suspects[0].line == 2
 
     def test_suspect_lines_cover_the_mutated_line(self):
-        loc = TraceDiffLocalizer(
-            Compiler().compile(REF_TWO_OUT).elaborated
-        ).localize(BUGGY_TWO_OUT)
+        loc = _localize(BUGGY_TWO_OUT)
         assert 2 in loc.suspect_lines
         # y is clean on every sample: its driver must not outrank x's.
         assert loc.suspect_lines[0] == 2
 
     def test_clean_candidate_localizes_to_nothing(self):
-        loc = TraceDiffLocalizer(
-            Compiler().compile(REF_TWO_OUT).elaborated
-        ).localize(REF_TWO_OUT)
-        assert loc.suspects == []
+        assert _localize(REF_TWO_OUT).suspects == []
 
     def test_uncompilable_candidate_localizes_to_nothing(self):
-        loc = TraceDiffLocalizer(
-            Compiler().compile(REF_TWO_OUT).elaborated
-        ).localize("module m(oops\n")
-        assert loc.suspects == []
-
-    def test_memoizes_per_candidate(self):
-        localizer = TraceDiffLocalizer(
-            Compiler().compile(REF_TWO_OUT).elaborated
-        )
-        first = localizer.localize(BUGGY_TWO_OUT)
-        assert localizer.localize(BUGGY_TWO_OUT) is first
+        assert _localize("module m(oops\n").suspects == []
 
     def test_suspect_lines_helper_orders_drivers_first(self):
         code = (
@@ -268,7 +261,7 @@ class TestServiceSeams:
         """The engine itself (oracle held constant) checks the ambient
         deadline at the top of every iteration, at the configured
         stage."""
-        from repro.agents.simfix import _SIMFIX_CONFIG
+        from repro.repair.functional import FUNCTIONAL_CONFIG
         from repro.repair.base import OracleVerdict
 
         class FailingOracle:
@@ -290,7 +283,7 @@ class TestServiceSeams:
                 return self
 
         engine = RepairEngine(FailingOracle(), ExpiringProposer(),
-                              config=_SIMFIX_CONFIG)
+                              config=FUNCTIONAL_CONFIG)
         with use_deadline(deadline):
             with pytest.raises(DeadlineExceededError) as excinfo:
                 engine.run("module m;\nendmodule\n")
@@ -345,6 +338,62 @@ class TestTable4:
             serial = run_table4(problems, samples_per_problem=1, seed=0)
             fanned = run_table4(problems, samples_per_problem=1, seed=0, jobs=2)
         assert serial.digest() == fanned.digest()
+
+    def test_golden_digests(self):
+        """Seeds 0 and 1 of the full-corpus pass match the recorded
+        digests, pinning fix counts, template work, localization
+        ranking and stimulus."""
+        from repro.eval.experiments import run_table4
+        from repro.runtime import use_stage_cache
+        from repro.sim import use_verdict_cache
+
+        golden = json.loads(TABLE4_DIGESTS.read_text(encoding="utf-8"))
+        for seed in (0, 1):
+            with use_compile_cache(), use_stage_cache(), use_verdict_cache():
+                result = run_table4(
+                    verilogeval(), samples_per_problem=2, seed=seed, jobs=1
+                )
+            assert result.digest() == golden["digests"][str(seed)], seed
+
+    def test_localizer_builds_no_simulators(self, monkeypatch):
+        """The localizer reads the oracle's verdict: a Table-4 pass makes
+        no simulator inside ``TraceDiffLocalizer.localize``."""
+        import sys
+
+        from repro.dataset.problem import ProblemSet
+        from repro.eval.experiments import run_table4
+        from repro.sim import engine as sim_engine
+        from repro.sim import use_verdict_cache
+
+        original = sim_engine.make_simulator
+        counts = {"localize": 0, "inside": 0, "builds": 0}
+
+        def counting_make_simulator(*args, **kwargs):
+            counts["builds"] += counts["inside"] > 0
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and (
+                getattr(module, "make_simulator", None) is original
+            ):
+                monkeypatch.setattr(module, "make_simulator",
+                                    counting_make_simulator)
+        localize = TraceDiffLocalizer.localize
+
+        def counting_localize(self, *args, **kwargs):
+            counts["localize"] += 1
+            counts["inside"] += 1
+            try:
+                return localize(self, *args, **kwargs)
+            finally:
+                counts["inside"] -= 1
+
+        monkeypatch.setattr(TraceDiffLocalizer, "localize", counting_localize)
+        problems = ProblemSet("t4-loc", list(verilogeval())[:8])
+        with use_compile_cache(CompileCache()), use_verdict_cache():
+            run_table4(problems, samples_per_problem=1, seed=0, jobs=1)
+        assert counts["localize"] > 0
+        assert counts["builds"] == 0
 
     def test_functional_repair_fixes_seeded_gate_swap(self):
         with use_compile_cache(CompileCache()):

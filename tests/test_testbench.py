@@ -1,7 +1,9 @@
 """Tests for the golden-model differential testbench."""
 
+import pytest
+
 from repro.diagnostics import compile_source
-from repro.sim import check_interface, run_differential
+from repro.sim import check_interface, make_sim_feedback, run_differential
 
 REF_COMB = (
     "module top_module(input [7:0] in, output [7:0] out);\n"
@@ -52,6 +54,31 @@ class TestCombinationalDiff:
         a = run_differential(elab(REF_COMB), elab(REF_COMB), samples=8, seed=3)
         b = run_differential(elab(REF_COMB), elab(REF_COMB), samples=8, seed=3)
         assert a.samples == b.samples and a.mismatch_count == b.mismatch_count
+
+
+REF_COMB_RESET = (
+    "module top_module(input reset, input [3:0] a, output [3:0] y);\n"
+    "assign y = reset ? 4'd0 : a;\nendmodule"
+)
+
+
+class TestOneStimulusRule:
+    """Both harnesses run on one driver, so a combinational design with
+    a reset input gets the same stimulus from each: reset asserted for
+    the first two samples, which are not compared."""
+
+    @pytest.mark.parametrize("body, passes", [
+        pytest.param("reset ? 4'd0 : a", True, id="reference"),
+        pytest.param("a", True, id="differs-only-under-reset"),
+        pytest.param("reset ? 4'd0 : ~a", False, id="inverted"),
+    ])
+    def test_harnesses_agree_on_combinational_reset(self, body, passes):
+        candidate = elab(REF_COMB_RESET.replace("reset ? 4'd0 : a", body))
+        reference = elab(REF_COMB_RESET)
+        diff = run_differential(candidate, reference, samples=16)
+        feedback = make_sim_feedback(candidate, reference, samples=16)
+        assert diff.passed == feedback.passed == passes
+        assert diff.samples == feedback.compared == 14
 
 
 class TestSequentialDiff:
