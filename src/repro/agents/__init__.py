@@ -2,18 +2,17 @@
 
 from ..repair.transcript import Transcript, Turn
 from .oneshot import OneShotAgent
-from .prompts import (
+from ..llm.prompts import (
     GENERATION_SYSTEM_PROMPT,
     ONE_SHOT_TEMPLATE,
     REACT_INSTRUCTION,
     REACT_QUESTION,
     render_one_shot,
 )
-from .react import DEFAULT_MAX_ITERATIONS, AgentResult, ReActAgent
+from .react import DEFAULT_MAX_ITERATIONS, ReActAgent
 from .simfix import SimDebugAgent, SimFixResult
 
 __all__ = [
-    "AgentResult",
     "DEFAULT_MAX_ITERATIONS",
     "SimDebugAgent",
     "SimFixResult",

@@ -21,7 +21,7 @@ are no-ops for batch runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Callable, Optional
 
 from ..diagnostics import Compiler
@@ -33,11 +33,10 @@ from ..repair import (
     EngineConfig,
     LLMProposer,
     RepairEngine,
+    RepairOutcome,
     RuleFixProposer,
-    record_rule_fix,  # re-exported: OneShotAgent shares the pre-pass  # noqa: F401
 )
-from ..repair.base import _head  # noqa: F401  (compat re-export)
-from ..repair.transcript import Transcript, Turn
+from ..repair.transcript import Turn
 
 DEFAULT_MAX_ITERATIONS = 10
 
@@ -61,27 +60,6 @@ _REACT_CONFIG = EngineConfig(
 )
 
 
-@dataclass
-class AgentResult:
-    """Outcome of one debugging run."""
-
-    success: bool
-    final_code: str
-    #: Number of code revisions submitted to the compiler (0 when the
-    #: input already compiled).
-    iterations: int
-    transcript: Transcript = field(default_factory=Transcript)
-    #: True when the rule-based pre-fixer materially changed the code
-    #: before any model involvement.  A success with ``iterations == 0``
-    #: and ``rule_fixed`` is a *rule-based repair*, not a clean input --
-    #: Table 1 accounting must not conflate the two.
-    rule_fixed: bool = False
-
-    @property
-    def gave_up(self) -> bool:
-        return not self.success
-
-
 class ReActAgent:
     """LLM-as-autonomous-agent with Compiler / RAG / Finish actions.
 
@@ -91,6 +69,10 @@ class ReActAgent:
     (:class:`~repro.verilog.pipeline.CompileSession`) reuses unchanged
     stage artifacts across iterations instead of recompiling cold.
     """
+
+    #: The engine flavor this agent assembles; ``max_iterations`` is
+    #: taken from the instance.
+    engine_config = _REACT_CONFIG
 
     def __init__(
         self,
@@ -113,7 +95,7 @@ class ReActAgent:
         self.on_turn = on_turn
 
     def _engine(self) -> RepairEngine:
-        """Assemble the ReAct configuration of the repair engine.
+        """Assemble this agent's configuration of the repair engine.
 
         Built per run (cheap: plain object composition) so post-
         construction reassignment of ``on_turn`` -- the repair server
@@ -128,17 +110,14 @@ class ReActAgent:
                 DiagnosticLocalizer(self.retriever)
                 if self.retriever is not None else None
             ),
-            config=replace(_REACT_CONFIG, max_iterations=self.max_iterations),
+            config=replace(
+                self.engine_config, max_iterations=self.max_iterations
+            ),
             prefix=RuleFixProposer() if self.apply_rule_fix else None,
             on_turn=self.on_turn,
         )
 
-    def run(self, code: str, description: str = "") -> AgentResult:
-        """Debug ``code`` with the ReAct loop until it compiles or the
-        iteration budget runs out."""
-        outcome = self._engine().run(code)
-        return AgentResult(
-            success=outcome.success, final_code=outcome.final_code,
-            iterations=outcome.iterations, transcript=outcome.transcript,
-            rule_fixed=outcome.rule_fixed,
-        )
+    def run(self, code: str, description: str = "") -> RepairOutcome:
+        """Debug ``code`` until it compiles or the iteration budget runs
+        out."""
+        return self._engine().run(code)

@@ -75,14 +75,20 @@ class SimDebugAgent:
         #: after construction; must never raise.
         self.on_turn = on_turn
 
+    def oracle(self, reference_code: str) -> SimOracle:
+        """The differential-simulation oracle this agent judges against
+        ``reference_code`` with; drivers use it to skip mutants that are
+        already equivalent before repairing them."""
+        return SimOracle(
+            reference_code, compiler=self.compiler,
+            samples=self.sim_samples, sim_limits=self.sim_limits,
+        )
+
     def run(
         self, code: str, reference_code: str, difficulty: str = "hard"
     ) -> SimFixResult:
         engine = RepairEngine(
-            oracle=SimOracle(
-                reference_code, compiler=self.compiler,
-                samples=self.sim_samples, sim_limits=self.sim_limits,
-            ),
+            oracle=self.oracle(reference_code),
             proposer=LogicModelProposer(self.model, difficulty),
             config=replace(FUNCTIONAL_CONFIG, max_iterations=self.max_iterations),
             on_turn=self.on_turn,

@@ -44,7 +44,7 @@ class RTLFixerConfig:
     step_timeout: Optional[float] = None
     #: Whole-repair deadline in seconds (None = unlimited, the batch
     #: default).  When set, :meth:`RTLFixer.fix` scopes an ambient
-    #: :class:`repro.service.Deadline` around the run: the ReAct loop
+    #: :class:`repro.service.Deadline` around the run: the repair loop
     #: checks it every iteration and the retry layer refuses to dispatch
     #: or back off past it, so an over-budget repair stops mid-run with
     #: DeadlineExceededError.  Unlike ``step_timeout`` this can truncate

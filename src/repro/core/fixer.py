@@ -19,7 +19,7 @@ import dataclasses
 from typing import Optional
 
 from ..agents.oneshot import OneShotAgent
-from ..agents.react import AgentResult, ReActAgent
+from ..agents.react import ReActAgent
 from ..diagnostics import Compiler
 from ..llm.base import RepairModel
 from ..llm.pool import PooledRepairModel, routing_from_config
@@ -27,6 +27,7 @@ from ..llm.simulated import SimulatedLLM
 from ..rag.database import GuidanceDatabase
 from ..rag.guidance_data import build_default_database
 from ..rag.retrievers import Retriever, make_retriever
+from ..repair.base import RepairOutcome
 from ..runtime.retry import RetryingCompiler, RetryingRepairModel, RetryPolicy
 from ..service.deadline import Deadline, use_deadline
 from .config import RTLFixerConfig
@@ -77,21 +78,16 @@ class RTLFixer:
                 config.retriever, self.database, config.compiler
             )
 
-        if config.prompting == "react":
-            self.agent = ReActAgent(
-                model=agent_model,
-                compiler=agent_compiler,
-                retriever=self.retriever,
-                max_iterations=config.max_iterations,
-                apply_rule_fix=config.apply_rule_fix,
-            )
-        else:
-            self.agent = OneShotAgent(
-                model=agent_model,
-                compiler=agent_compiler,
-                retriever=self.retriever,
-                apply_rule_fix=config.apply_rule_fix,
-            )
+        # One engine assembly serves both strategies; One-shot fixes its
+        # own budget at one iteration.
+        shared = dict(
+            model=agent_model, compiler=agent_compiler,
+            retriever=self.retriever, apply_rule_fix=config.apply_rule_fix,
+        )
+        self.agent = (
+            OneShotAgent(**shared) if config.prompting == "oneshot"
+            else ReActAgent(max_iterations=config.max_iterations, **shared)
+        )
 
     @staticmethod
     def _build_model(config: RTLFixerConfig) -> RepairModel:
@@ -119,12 +115,12 @@ class RTLFixer:
         parallel workers."""
         return self._injected_model
 
-    def fix(self, code: str, description: str = "") -> AgentResult:
+    def fix(self, code: str, description: str = "") -> RepairOutcome:
         """Debug one erroneous implementation until it compiles (or the
         iteration budget runs out).
 
         With ``config.deadline_s`` set, the whole repair runs under an
-        ambient :class:`~repro.service.Deadline`: the ReAct loop and
+        ambient :class:`~repro.service.Deadline`: the repair loop and
         the retry layer stop mid-run with
         :class:`~repro.errors.DeadlineExceededError` once the budget is
         gone.  An already-scoped ambient deadline (the repair service's
@@ -140,7 +136,9 @@ class RTLFixer:
                 return self._fix_under_deadline(code, description)
         return self._fix_under_deadline(code, description)
 
-    def _fix_under_deadline(self, code: str, description: str) -> AgentResult:
+    def _fix_under_deadline(
+        self, code: str, description: str
+    ) -> RepairOutcome:
         if self.config.deadline_s is not None:
             from ..service.deadline import current_deadline
 

@@ -690,6 +690,7 @@ def _simfix_problem_counts(unit: _SimFixUnit) -> tuple[str, int, int]:
         max_iterations=unit.max_iterations, sim_samples=unit.sim_samples
     )
     problem = unit.problem
+    oracle = agent.oracle(problem.reference)
     rng = _random.Random(f"simfix|{unit.seed}|{problem.id}")
     attempted = fixed = 0
     for trial in range(unit.samples_per_problem):
@@ -699,8 +700,8 @@ def _simfix_problem_counts(unit: _SimFixUnit) -> tuple[str, int, int]:
             if forced is None:
                 continue
             buggy = forced
-        verdict = evaluate_code(buggy, problem, samples=unit.sim_samples)
-        if verdict != "sim":
+        verdict = oracle.check(buggy)  # the agent's first check hits the cache
+        if not verdict.compiled or verdict.ok:
             continue  # accidentally equivalent (or broken) mutant
         run = agent.run(buggy, problem.reference, difficulty=problem.difficulty)
         attempted += 1
@@ -891,15 +892,17 @@ def _table4_problem_rows(
             if forced is None:
                 continue
             buggy, bug_class = forced, "forced_inversion"
-        verdict = evaluate_code(buggy, problem, samples=unit.sim_samples)
-        if verdict != "sim":
-            continue  # accidentally equivalent (or broken) mutant
         engine = build_functional_engine(
             problem.reference,
             difficulty=problem.difficulty,
             max_iterations=unit.max_iterations,
             sim_samples=unit.sim_samples,
         )
+        # One verdict: the filter, the localization probe and (cached)
+        # the engine's first detect.
+        verdict = engine.oracle.check(buggy)
+        if not verdict.compiled or verdict.ok:
+            continue  # accidentally equivalent (or broken) mutant
         # Localization accuracy: the mutant differs from the golden on
         # known lines; a "hit" is the localizer ranking one of them
         # among its suspects.  (Only meaningful on same-shape mutants.)
@@ -914,9 +917,7 @@ def _table4_problem_rows(
                 )
                 if got != want
             }
-            suspects = engine.localizer.localize(
-                buggy, engine.oracle.check(buggy)
-            ).suspect_lines
+            suspects = engine.localizer.localize(buggy, verdict).suspect_lines
             if suspects and mutated_lines:
                 loc_hit = bool(mutated_lines & set(suspects))
         outcome = engine.run(buggy)

@@ -3,8 +3,6 @@ GPT-4) plus the documented OpenAI-API path."""
 
 from .base import ChatMessage, LLMClient, RepairModel, RepairSession, RepairStep
 from .openai_stub import (
-    ONE_SHOT_SYSTEM_PROMPT,
-    REACT_SYSTEM_PROMPT,
     OpenAIRepairModel,
     build_repair_messages,
     parse_repair_reply,
@@ -45,10 +43,8 @@ __all__ = [
     "LOGIC_CAPABILITY",
     "SimulatedLogicDebugger",
     "enumerate_logic_edits",
-    "ONE_SHOT_SYSTEM_PROMPT",
     "OpenAIRepairModel",
     "ParsedError",
-    "REACT_SYSTEM_PROMPT",
     "ROUND_SUCCESS",
     "RepairModel",
     "RepairSession",

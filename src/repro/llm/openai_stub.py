@@ -2,9 +2,10 @@
 
 The paper runs everything against *gpt-3.5-turbo-16k-0613* via the
 OpenAI API.  This environment has no network access, so this module only
-documents the real-API path and fails loudly if used.  The prompts below
-are faithful to Fig. 2 of the paper, so wiring in an actual client is a
-matter of implementing :class:`LLMClient.complete`.
+documents the real-API path and fails loudly if used.  The prompts it
+sends (:mod:`repro.llm.prompts`) are faithful to Fig. 2 of the paper,
+so wiring in an actual client is a matter of implementing
+:class:`LLMClient.complete`.
 """
 
 from __future__ import annotations
@@ -14,23 +15,7 @@ import re
 from ..errors import LLMError
 from ..rag.database import GuidanceEntry
 from .base import ChatMessage, LLMClient, RepairStep
-
-ONE_SHOT_SYSTEM_PROMPT = (
-    "Implement the Verilog module based on the following description. "
-    "Assume that signals are positive clock/clk edge triggered unless "
-    "otherwise stated."
-)
-
-REACT_SYSTEM_PROMPT = (
-    "Solve a task with interleaving Thought, Action, Observation steps. "
-    "Thought can reason about the current situation, and Action can be "
-    "the following types:\n"
-    "(1) Compiler[code], which compiles the input code and provide error "
-    "message if there is syntax error.\n"
-    "(2) Finish[answer], which returns the answer and finished the task.\n"
-    "(3) RAG[logs], input the compiler log and retrieve expert solutions "
-    "to fix the syntax error."
-)
+from .prompts import REACT_INSTRUCTION, REACT_QUESTION
 
 
 def build_repair_messages(
@@ -42,8 +27,7 @@ def build_repair_messages(
         for g in guidance
     )
     user = (
-        "What is the syntax error in the given Verilog module implementation "
-        "and how to fix it?\n\n"
+        f"{REACT_QUESTION}\n\n"
         f"```verilog\n{code}\n```\n\n"
         f"Compiler feedback:\n{feedback or 'Correct the syntax error in the code.'}\n"
     )
@@ -51,7 +35,7 @@ def build_repair_messages(
         user += f"\nHuman expert guidance:\n{guidance_text}\n"
     user += "\nRespond with a Thought line and the full corrected module."
     return [
-        ChatMessage(role="system", content=REACT_SYSTEM_PROMPT),
+        ChatMessage(role="system", content=REACT_INSTRUCTION),
         ChatMessage(role="user", content=user),
     ]
 

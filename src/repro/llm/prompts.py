@@ -1,8 +1,9 @@
-"""Prompt templates from Fig. 2 of the paper.
+"""Prompt templates from Fig. 2 of the paper, one copy of each text.
 
 The simulated model does not consume raw prompts, but the templates are
-part of the framework's public surface (an API-backed model uses them
-verbatim; examples and docs render them)."""
+part of the framework's public surface (the API-backed session sends
+them verbatim; examples and docs render them).  This module imports
+nothing, so :mod:`repro.agents` can re-export it without a cycle."""
 
 from __future__ import annotations
 
@@ -28,8 +29,7 @@ REACT_INSTRUCTION = """Solve a task with interleaving Thought, Action, Observati
 Thought can reason about the current situation, and Action can be the following types:
 (1) Compiler[code], which compiles the input code and provide error message if there is syntax error.
 (2) Finish[answer], which returns the answer and finished the task.
-(3) RAG[logs], input the compiler log and retrieve expert solutions to fix the syntax error.
-"""
+(3) RAG[logs], input the compiler log and retrieve expert solutions to fix the syntax error."""
 
 REACT_QUESTION = (
     "What is the syntax error in the given Verilog module implementation "

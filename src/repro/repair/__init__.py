@@ -35,7 +35,6 @@ from .proposers import (
     LLMProposer,
     LogicModelProposer,
     RuleFixProposer,
-    record_rule_fix,
 )
 from .templates import TEMPLATES, TemplateEdit, TemplateProposer
 from .transcript import Transcript, Turn
@@ -65,7 +64,6 @@ __all__ = [
     "Transcript",
     "Turn",
     "build_functional_engine",
-    "record_rule_fix",
     "repair_functional",
     "result_digest",
     "suspect_lines",

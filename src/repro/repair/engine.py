@@ -4,10 +4,12 @@ One engine, three plug points (:class:`~repro.repair.base.Oracle`,
 :class:`~repro.repair.base.Localizer`,
 :class:`~repro.repair.base.Proposer`) and a small
 :class:`~repro.repair.base.EngineConfig` of per-flavor knobs.  The
-ReAct syntax agent and the simulation-debugging agent are both thin
+ReAct syntax agent and the simulation-debugging agent are thin
 configurations of this loop (bit-identical to their pre-refactor
 hand-rolled versions -- ``scripts/repair_diff.py`` prosecutes that),
-and the Table-4 functional-repair workload is a third.
+the One-shot baseline is the ReAct assembly run for one iteration
+(``tests/data/oneshot_digests.json`` pins it to its old hand-rolled
+loop), and the Table-4 functional-repair workload is a fourth.
 
 Cross-cutting service seams live here exactly once:
 
@@ -179,7 +181,7 @@ def result_digest(result) -> str:
     Covers everything the equivalence gate cares about: outcome flags,
     iteration count, final code, mismatch bookkeeping (when present) and
     every recorded turn field.  Works on :class:`RepairOutcome`,
-    ``AgentResult`` and ``SimFixResult`` alike, so legacy and
+    ``SimFixResult`` and the legacy loops' results alike, so legacy and
     engine-backed runs hash comparably.
     """
     payload = {

@@ -23,48 +23,41 @@ from .base import Localization, OracleVerdict, _head
 from .transcript import Transcript
 
 
-def record_rule_fix(transcript: Transcript, original: str, rule_result) -> bool:
-    """Record a rule-based pre-fix as its own transcript step.
-
-    Returns True (and appends a ``RuleFix`` turn) only when the
-    pre-fixer *materially* changed the code -- whitespace-only trims do
-    not count, so clean inputs still short-circuit with a lone
-    ``Finish`` turn.
-    """
-    if rule_result.code.strip() == original.strip():
-        return False
-    notes = []
-    if rule_result.extracted_from_markdown:
-        notes.append("extracted the Verilog from the surrounding text")
-    if rule_result.moved_timescale:
-        notes.append("hoisted the `timescale directive to the file top")
-    if not notes:
-        notes.append("normalized the module text")
-    transcript.add(
-        thought="Apply the rule-based pre-fixer before consulting the model.",
-        action="RuleFix",
-        action_input=_head(original),
-        observation="; ".join(notes),
-    )
-    return True
-
-
 class RuleFixProposer:
     """The rule-based pre-pass, as the engine's ``prefix`` hook."""
 
     name = "rulefix"
 
     def apply(self, transcript: Transcript, code: str, on_turn=None):
-        """Rule-fix ``code``; returns ``(new_code, materially_changed)``
-        and notifies ``on_turn`` of the recorded turn, if any."""
+        """Rule-fix ``code``; returns ``(new_code, materially_changed)``.
+
+        Only a *material* change (whitespace-only trims do not count)
+        records a ``RuleFix`` turn and notifies ``on_turn`` of it, so
+        clean inputs still short-circuit with a lone ``Finish`` turn.
+        """
         from ..core.rulefix import rule_fix  # deferred: avoids an import
         # cycle (repro.core.fixer builds agents, which build engines)
 
         rule_result = rule_fix(code)
-        rule_fixed = record_rule_fix(transcript, code, rule_result)
-        if rule_fixed and on_turn is not None:
-            on_turn(transcript.turns[-1])
-        return rule_result.code, rule_fixed
+        if rule_result.code.strip() == code.strip():
+            return rule_result.code, False
+        notes = []
+        if rule_result.extracted_from_markdown:
+            notes.append("extracted the Verilog from the surrounding text")
+        if rule_result.moved_timescale:
+            notes.append("hoisted the `timescale directive to the file top")
+        if not notes:
+            notes.append("normalized the module text")
+        turn = transcript.add(
+            thought="Apply the rule-based pre-fixer before consulting "
+            "the model.",
+            action="RuleFix",
+            action_input=_head(code),
+            observation="; ".join(notes),
+        )
+        if on_turn is not None:
+            on_turn(turn)
+        return rule_result.code, True
 
 
 class LLMProposer:

@@ -110,7 +110,7 @@ class ServiceClient:
     async def repair_stream(self, **fields: Any) -> AsyncIterator[tuple[str, dict]]:
         """Submit a streaming repair; yields ``(event, payload)`` pairs.
 
-        Yields the ``accepted`` event, one ``iteration`` per ReAct turn,
+        Yields the ``accepted`` event, one ``iteration`` per transcript turn,
         and finally the terminal ``result`` (after which the stream
         ends).  A shed or invalid submission yields a single synthetic
         ``("error", payload)`` pair instead.

@@ -10,7 +10,7 @@ request's remaining time budget through every layer:
 * the **admission queue** checks it at dequeue, so a job whose budget
   evaporated while queued is answered ``deadline_exceeded`` without
   burning a worker slot;
-* the **ReAct loop** (:class:`repro.agents.react.ReActAgent`) checks it
+* the **repair loop** (:class:`repro.repair.engine.RepairEngine`) checks it
   at the top of every Thought-Action-Observation iteration, so work
   stops *mid-repair* instead of discovering the overrun post-hoc;
 * the **retry layer** (:func:`repro.runtime.retry.call_with_retry`)

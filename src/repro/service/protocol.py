@@ -277,7 +277,7 @@ def sse_event(event: str, data: dict) -> bytes:
 
 
 def turn_event(turn) -> dict:
-    """The SSE payload for one ReAct transcript turn (progress event)."""
+    """The SSE payload for one repair transcript turn (progress event)."""
     return {
         "index": turn.index,
         "thought": turn.thought,

@@ -7,7 +7,7 @@ long-running, overload-safe service:
 * ``POST /repair`` -- submit one repair job (JSON body, see
   :class:`~.protocol.RepairRequest`).  With ``"stream": true`` the
   response is a Server-Sent-Events stream with one ``iteration`` event
-  per ReAct turn, then a ``result`` event;
+  per transcript turn, then a ``result`` event;
 * ``GET /healthz`` -- liveness + drain state;
 * ``GET /stats`` -- the full service ledger (admission counters,
   per-tenant quotas, breaker state).
@@ -273,7 +273,7 @@ class RepairServer:
                     attempts=self.config.max_retries + 1,
                 )
             fixer = RTLFixer(config=job.config, database=self._database)
-            if job.events is not None and hasattr(fixer.agent, "on_turn"):
+            if job.events is not None:
                 loop, events = self._loop, job.events
                 fixer.agent.on_turn = lambda turn: loop.call_soon_threadsafe(
                     events.put_nowait, ("iteration", turn_event(turn))
@@ -567,7 +567,7 @@ class RepairServer:
         events: asyncio.Queue,
     ) -> None:
         """Answer one streaming submission with SSE frames: ``accepted``,
-        one ``iteration`` per ReAct turn, then the terminal ``result``."""
+        one ``iteration`` per transcript turn, then the terminal ``result``."""
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: text/event-stream\r\n"

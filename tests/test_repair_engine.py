@@ -395,6 +395,31 @@ class TestTable4:
         assert counts["localize"] > 0
         assert counts["builds"] == 0
 
+    def test_mutant_filters_read_the_oracle_verdict(self, monkeypatch):
+        """Table 4 and the §5 extension skip equivalent mutants on the
+        oracle's own verdict: no separate ``run_differential`` pass."""
+        from repro.dataset.problem import ProblemSet
+        from repro.eval.experiments import run_simfix_extension, run_table4
+        from repro.sim import testbench, use_verdict_cache
+
+        original = testbench._run_differential_uncached
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(testbench, "_run_differential_uncached", counting)
+        problems = ProblemSet("filters", list(verilogeval())[:6])
+        with use_compile_cache(CompileCache()), use_verdict_cache():
+            table4 = run_table4(problems, samples_per_problem=2, seed=0, jobs=1)
+            simfix = run_simfix_extension(
+                problems, samples_per_problem=2, seed=0, jobs=1
+            )
+        assert table4.totals()[0] > 0
+        assert sum(a for a, _ in simfix.by_difficulty.values()) > 0
+        assert calls == []
+
     def test_functional_repair_fixes_seeded_gate_swap(self):
         with use_compile_cache(CompileCache()):
             outcome = repair_functional(BUGGY_GATE, REF_GATE, difficulty="easy")

@@ -619,7 +619,8 @@ class TestAgentDeadlineAndObserver:
         "assign out[8] = in[0];\nendmodule\n"
     )
 
-    def test_react_loop_stops_mid_run_on_expired_deadline(self):
+    @pytest.mark.parametrize("prompting", ["react", "oneshot"])
+    def test_react_loop_stops_mid_run_on_expired_deadline(self, prompting):
         from repro.core import RTLFixer
 
         clock = FakeClock()
@@ -627,7 +628,7 @@ class TestAgentDeadlineAndObserver:
         clock.advance(2.0)  # expire before the first iteration
         # max_retries=0 keeps the retry wrapper out, so the deadline
         # fires at the agent's own per-iteration seam.
-        fixer = RTLFixer(max_retries=0)
+        fixer = RTLFixer(max_retries=0, prompting=prompting)
         with use_deadline(deadline):
             with pytest.raises(DeadlineExceededError) as excinfo:
                 fixer.fix(self.BROKEN)
@@ -647,10 +648,11 @@ class TestAgentDeadlineAndObserver:
                 fixer.fix(self.BROKEN)
         assert excinfo.value.stage == "retry-dispatch"
 
-    def test_on_turn_observer_sees_every_transcript_turn(self):
+    @pytest.mark.parametrize("prompting", ["react", "oneshot"])
+    def test_on_turn_observer_sees_every_transcript_turn(self, prompting):
         from repro.core import RTLFixer
 
-        fixer = RTLFixer()
+        fixer = RTLFixer(prompting=prompting)
         seen = []
         fixer.agent.on_turn = seen.append
         result = fixer.fix(self.BROKEN)

@@ -153,6 +153,37 @@ class TestOverloadDrill:
         assert stats["breaker"]["state"] == "closed"
 
 
+class TestRepairStream:
+    @pytest.mark.parametrize("prompting", ["react", "oneshot"])
+    def test_stream_emits_one_iteration_event_per_turn(self, prompting):
+        """``repair_stream`` yields ``accepted``, one ``iteration`` per
+        transcript turn of the same repair run directly, then
+        ``result`` -- for both prompting strategies."""
+        from repro.core import RTLFixer
+
+        expected = RTLFixer(prompting=prompting, seed=0).fix(FIXABLE)
+
+        async def scenario(client, server):
+            return [
+                event async for event in client.repair_stream(
+                    code=FIXABLE, prompting=prompting, seed=0
+                )
+            ]
+
+        events, _ = asyncio.run(_with_server(ServerConfig(port=0), scenario))
+        kinds = [kind for kind, _ in events]
+        turns = expected.transcript.turns
+        assert kinds == ["accepted"] + ["iteration"] * len(turns) + ["result"]
+        assert [payload["index"] for kind, payload in events
+                if kind == "iteration"] == [turn.index for turn in turns]
+        assert [payload["action"] for kind, payload in events
+                if kind == "iteration"] == [turn.action for turn in turns]
+        result = events[-1][1]
+        assert result["status"] == "fixed" and expected.success
+        assert result["iterations"] == expected.iterations
+        assert result["final_code"] == expected.final_code
+
+
 def _env() -> dict:
     """Subprocess environment with the library importable."""
     env = dict(os.environ)
